@@ -27,10 +27,11 @@ void BM_BagCount(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   const size_t depth = static_cast<size_t>(state.range(1));
   EdgeLabeledGraph g = Clique(k);
+  GraphSnapshot snap(g);
   RegexPtr regex = NestedStar(depth);
   size_t digits = 0;
   for (auto _ : state) {
-    BigUint total = BagCountTotal(*regex, g);
+    BigUint total = BagCountTotal(*regex, snap);
     digits = total.NumDecimalDigits();
     benchmark::DoNotOptimize(total);
   }
@@ -42,11 +43,12 @@ BENCHMARK(BM_BagCount)
 void BM_SetSemanticsViaAutomata(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = Clique(k);
+  GraphSnapshot snap(g);
   RegexPtr regex = NestedStar(4);
   Nfa nfa = Nfa::FromRegex(*regex, g);
   size_t answers = 0;
   for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(snap, nfa);
     answers = pairs.size();
     benchmark::DoNotOptimize(pairs);
   }
@@ -64,10 +66,11 @@ int main(int argc, char** argv) {
     printf("%3s %14s %45s\n", "k", "set answers", "bag multiplicity (digits)");
     for (size_t k = 2; k <= 6; ++k) {
       EdgeLabeledGraph g = Clique(k);
+      GraphSnapshot snap(g);
       RegexPtr regex =
           ParseRegex("(((a*)*)*)*", RegexDialect::kPlain).ValueOrDie();
-      auto pairs = EvalRpq(g, *regex);
-      BigUint total = BagCountTotal(*regex, g);
+      auto pairs = EvalRpq(snap, Nfa::FromRegex(*regex, g));
+      BigUint total = BagCountTotal(*regex, snap);
       std::string digits = std::to_string(total.NumDecimalDigits());
       std::string shown = total.NumDecimalDigits() <= 40
                               ? total.ToString()
@@ -76,8 +79,9 @@ int main(int argc, char** argv) {
       printf("%3zu %14zu %45s\n", k, pairs.size(), shown.c_str());
     }
     EdgeLabeledGraph g6 = Clique(6);
+    GraphSnapshot snap(g6);
     BigUint total = BagCountTotal(
-        *ParseRegex("(((a*)*)*)*", RegexDialect::kPlain).ValueOrDie(), g6);
+        *ParseRegex("(((a*)*)*)*", RegexDialect::kPlain).ValueOrDie(), snap);
     printf("K6 bag multiplicity has %zu decimal digits; protons in the "
            "observable universe ~ 10^80 -> claim %s\n",
            total.NumDecimalDigits(),

@@ -27,7 +27,8 @@ void BM_SynopsisEstimate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t qi = static_cast<size_t>(state.range(1));
   EdgeLabeledGraph g = RandomGraph(n, 4 * n, 2, /*seed=*/41);
-  GraphStatistics stats(g);
+  GraphSnapshot snap(g);
+  GraphStatistics stats(snap);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex(kQueries[qi], RegexDialect::kPlain).ValueOrDie(), g);
   double estimate = 0;
@@ -35,7 +36,7 @@ void BM_SynopsisEstimate(benchmark::State& state) {
     estimate = EstimateRpqCardinalitySynopsis(stats, nfa);
     benchmark::DoNotOptimize(estimate);
   }
-  double exact = static_cast<double>(EvalRpq(g, nfa).size());
+  double exact = static_cast<double>(EvalRpq(snap, nfa).size());
   state.counters["estimate"] = estimate;
   state.counters["exact"] = exact;
   state.counters["q_error"] = QError(estimate, exact);
@@ -48,15 +49,16 @@ void BM_SamplingEstimate(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const size_t samples = static_cast<size_t>(state.range(1));
   EdgeLabeledGraph g = RandomGraph(n, 4 * n, 2, /*seed=*/41);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("a b", RegexDialect::kPlain).ValueOrDie(), g);
   double estimate = 0;
   uint64_t seed = 1;
   for (auto _ : state) {
-    estimate = EstimateRpqCardinalitySampling(g, nfa, samples, seed++);
+    estimate = EstimateRpqCardinalitySampling(snap, nfa, samples, seed++);
     benchmark::DoNotOptimize(estimate);
   }
-  double exact = static_cast<double>(EvalRpq(g, nfa).size());
+  double exact = static_cast<double>(EvalRpq(snap, nfa).size());
   state.counters["estimate"] = estimate;
   state.counters["exact"] = exact;
   state.counters["q_error"] = QError(estimate, exact);
@@ -67,10 +69,11 @@ BENCHMARK(BM_SamplingEstimate)
 void BM_ExactCountForReference(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = RandomGraph(n, 4 * n, 2, /*seed=*/41);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("a b", RegexDialect::kPlain).ValueOrDie(), g);
   for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(snap, nfa);
     benchmark::DoNotOptimize(pairs);
   }
 }

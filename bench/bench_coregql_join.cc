@@ -20,10 +20,12 @@ namespace {
 void BM_PaperJoinQuery(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph g = RandomPropertyGraph(n, 4 * n, 16, /*seed=*/77);
+  GraphSnapshot snap(g);
   size_t answers = 0;
   for (auto _ : state) {
     Result<CoreQueryResult> q = RunCoreGql(
-        g, "MATCH (x)->(x1), (x)->(x2) WHERE x1.k = x2.k RETURN x, x1, x2");
+        g, "MATCH (x)->(x1), (x)->(x2) WHERE x1.k = x2.k RETURN x, x1, x2",
+        {.path_options = {.snapshot = &snap}});
     const CoreRelation& rel = q.value().relation;
     size_t i1 = rel.AttrIndex("x1");
     size_t i2 = rel.AttrIndex("x2");
@@ -46,10 +48,12 @@ BENCHMARK(BM_PaperJoinQuery)
 void BM_ReachabilityBlock(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph g = RandomPropertyGraph(n, 2 * n, 16, /*seed=*/78);
+  GraphSnapshot snap(g);
   size_t answers = 0;
   for (auto _ : state) {
     Result<CoreQueryResult> q =
-        RunCoreGql(g, "MATCH (x) ->+ (y) WHERE x.k = 0 RETURN x, y");
+        RunCoreGql(g, "MATCH (x) ->+ (y) WHERE x.k = 0 RETURN x, y",
+                   {.path_options = {.snapshot = &snap}});
     answers = q.value().relation.NumRows();
     benchmark::DoNotOptimize(q);
   }
@@ -60,13 +64,15 @@ BENCHMARK(BM_ReachabilityBlock)->RangeMultiplier(4)->Range(64, 1024);
 void BM_SetOperationPipeline(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph g = RandomPropertyGraph(n, 4 * n, 8, /*seed=*/79);
+  GraphSnapshot snap(g);
   size_t answers = 0;
   for (auto _ : state) {
     Result<CoreQueryResult> q = RunCoreGql(
         g,
         "MATCH (x)->(y) RETURN x, y "
         "EXCEPT "
-        "MATCH (x)->(y) WHERE x.k = y.k RETURN x, y");
+        "MATCH (x)->(y) WHERE x.k = y.k RETURN x, y",
+        {.path_options = {.snapshot = &snap}});
     answers = q.value().relation.NumRows();
     benchmark::DoNotOptimize(q);
   }
@@ -96,9 +102,11 @@ void PushdownCase(benchmark::State& state, bool optimize) {
                        "WHERE x:Hot AND w.k < 10 RETURN x, y, w")
                        .ValueOrDie();
   if (optimize) q = PushDownConditions(q);
+  GraphSnapshot snap(g);
   size_t answers = 0;
   for (auto _ : state) {
-    Result<CoreQueryResult> r = EvalCoreGqlQuery(g, q);
+    Result<CoreQueryResult> r =
+        EvalCoreGqlQuery(g, q, {.path_options = {.snapshot = &snap}});
     answers = r.value().relation.NumRows();
     benchmark::DoNotOptimize(r);
   }

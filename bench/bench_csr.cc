@@ -1,10 +1,10 @@
-// Label-indexed CSR snapshot benchmarks: seed scan-based RPQ evaluation vs
-// GraphSnapshot slice-based evaluation, across the three graph families the
-// paper's experiments use — label-rich sparse random graphs (where per-label
-// slicing shrinks the inner loop by ~1/num_labels), cliques (single label,
-// measures slicing overhead and parallel sharding), and the Figure-5
-// parallel-chain family. Also measures snapshot build cost and parallel
-// scaling at 1, 2, and 4 participating threads.
+// Label-indexed CSR snapshot benchmarks: GraphSnapshot slice-based RPQ
+// evaluation across the three graph families the paper's experiments use —
+// label-rich sparse random graphs (where per-label slicing shrinks the inner
+// loop by ~1/num_labels), cliques (single label, slicing gives no pruning;
+// carries the parallel sharding runs), and the Figure-5 parallel-chain
+// family. Also measures snapshot build cost and parallel scaling at 1, 2,
+// and 4 participating threads.
 //
 // `--smoke` (consumed before benchmark flags) shrinks every size so the CI
 // Release job can execute each benchmark once as a correctness/latency
@@ -31,23 +31,8 @@ Nfa Compile(const char* regex, const EdgeLabeledGraph& g) {
 }
 
 // Label-sparse workload: single-label transitions over a graph with many
-// labels, so a slice touches ~deg(v)/num_labels hops where the seed scan
-// filters all deg(v) edges.
+// labels, so a slice touches ~deg(v)/num_labels hops of a node's deg(v).
 constexpr const char* kSparseRegex = "a (b|c)* d";
-
-void BM_Sparse_Seed(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  const size_t labels = static_cast<size_t>(state.range(1));
-  EdgeLabeledGraph g = RandomGraph(n, 32 * n, labels, /*seed=*/11);
-  Nfa nfa = Compile(kSparseRegex, g);
-  size_t answers = 0;
-  for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
-    answers = pairs.size();
-    benchmark::DoNotOptimize(pairs);
-  }
-  state.counters["answers"] = static_cast<double>(answers);
-}
 
 void BM_Sparse_Snapshot(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
@@ -64,18 +49,8 @@ void BM_Sparse_Snapshot(benchmark::State& state) {
   state.counters["answers"] = static_cast<double>(answers);
 }
 
-// Clique: one label, so slicing gives no pruning — this isolates snapshot
-// overhead (it should be ~neutral) and carries the parallel-scaling runs.
-void BM_Clique_Seed(benchmark::State& state) {
-  const size_t k = static_cast<size_t>(state.range(0));
-  EdgeLabeledGraph g = Clique(k);
-  Nfa nfa = Compile("a a a", g);
-  for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
-    benchmark::DoNotOptimize(pairs);
-  }
-}
-
+// Clique: one label, so slicing gives no pruning; also carries the
+// parallel-scaling runs.
 void BM_Clique_Snapshot(benchmark::State& state) {
   const size_t k = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = Clique(k);
@@ -102,16 +77,6 @@ void BM_Clique_Parallel(benchmark::State& state) {
     benchmark::DoNotOptimize(pairs);
   }
   state.counters["threads"] = static_cast<double>(threads);
-}
-
-void BM_Fig5_Seed(benchmark::State& state) {
-  const size_t n = static_cast<size_t>(state.range(0));
-  EdgeLabeledGraph g = ParallelChain(n);
-  Nfa nfa = Compile("a*", g);
-  for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
-    benchmark::DoNotOptimize(pairs);
-  }
 }
 
 void BM_Fig5_Snapshot(benchmark::State& state) {
@@ -142,13 +107,10 @@ void Register(bool smoke) {
   using benchmark::RegisterBenchmark;
   const int64_t sparse_n = smoke ? 256 : 2048;
   for (int64_t labels : {4, 8, 32}) {
-    RegisterBenchmark("BM_Sparse_Seed", BM_Sparse_Seed)
-        ->Args({sparse_n, labels});
     RegisterBenchmark("BM_Sparse_Snapshot", BM_Sparse_Snapshot)
         ->Args({sparse_n, labels});
   }
   const int64_t clique_k = smoke ? 48 : 192;
-  RegisterBenchmark("BM_Clique_Seed", BM_Clique_Seed)->Arg(clique_k);
   RegisterBenchmark("BM_Clique_Snapshot", BM_Clique_Snapshot)->Arg(clique_k);
   for (int64_t threads : {1, 2, 4}) {
     RegisterBenchmark("BM_Clique_Parallel", BM_Clique_Parallel)
@@ -156,7 +118,6 @@ void Register(bool smoke) {
         ->UseRealTime();
   }
   const int64_t fig5_n = smoke ? 512 : 8192;
-  RegisterBenchmark("BM_Fig5_Seed", BM_Fig5_Seed)->Arg(fig5_n);
   RegisterBenchmark("BM_Fig5_Snapshot", BM_Fig5_Snapshot)->Arg(fig5_n);
   RegisterBenchmark("BM_SnapshotBuild", BM_SnapshotBuild)
       ->Arg(smoke ? 1024 : 16384);

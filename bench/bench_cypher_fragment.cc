@@ -47,12 +47,13 @@ BENCHMARK(BM_EnumerateFragmentLanguages)->DenseRange(3, 11, 2);
 void BM_FragmentEvaluation(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph g = ToPropertyGraph(RandomGraph(n, 4 * n, 2, /*seed=*/31));
+  GraphSnapshot snap(g);
   CypherPatternPtr p =
       ParseCypherPattern("(x) -[:a*]-> () -[:b]-> (y)").ValueOrDie();
   CorePatternPtr core = p->ToCorePattern();
   size_t answers = 0;
   for (auto _ : state) {
-    Result<std::vector<CorePairRow>> rows = EvalPatternPairs(g, *core);
+    Result<std::vector<CorePairRow>> rows = EvalPatternPairs(g, *core, snap);
     answers = rows.value().size();
     benchmark::DoNotOptimize(rows);
   }
@@ -65,11 +66,12 @@ void BM_FullRpqForComparison(benchmark::State& state) {
   // machinery — cheap and easy once patterns are automata-compatible.
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = RandomGraph(n, 4 * n, 2, /*seed=*/31);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("(a a)*", RegexDialect::kPlain).ValueOrDie(), g);
   size_t answers = 0;
   for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(snap, nfa);
     answers = pairs.size();
     benchmark::DoNotOptimize(pairs);
   }

@@ -20,12 +20,13 @@ namespace {
 
 void BM_Fig2_TransferStar(benchmark::State& state) {
   EdgeLabeledGraph g = Figure2Graph();
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(*ParseRegex("Transfer*", RegexDialect::kPlain)
                                 .ValueOrDie(),
                            g);
   size_t answers = 0;
   for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(snap, nfa);
     answers = pairs.size();
     benchmark::DoNotOptimize(pairs);
   }
@@ -35,12 +36,13 @@ BENCHMARK(BM_Fig2_TransferStar);
 
 void BM_Fig2_Example13_q1(benchmark::State& state) {
   EdgeLabeledGraph g = Figure2Graph();
+  GraphSnapshot snap(g);
   Crpq q = ParseCrpq("q1(x1, x2, x3) := Transfer(x1, x2), Transfer(x1, x3), "
                      "Transfer(x2, x3)")
                .ValueOrDie();
   size_t answers = 0;
   for (auto _ : state) {
-    Result<CrpqResult> r = EvalCrpq(g, q);
+    Result<CrpqResult> r = EvalCrpq(g, q, {.snapshot = &snap});
     answers = r.value().rows.size();
     benchmark::DoNotOptimize(r);
   }
@@ -50,12 +52,13 @@ BENCHMARK(BM_Fig2_Example13_q1);
 
 void BM_Fig2_Example13_q2(benchmark::State& state) {
   EdgeLabeledGraph g = Figure2Graph();
+  GraphSnapshot snap(g);
   Crpq q = ParseCrpq("q2(x, x1, x2) := owner(y, x1), isBlocked(y, x2), "
                      "(Transfer Transfer?)(x, y)")
                .ValueOrDie();
   size_t answers = 0;
   for (auto _ : state) {
-    Result<CrpqResult> r = EvalCrpq(g, q);
+    Result<CrpqResult> r = EvalCrpq(g, q, {.snapshot = &snap});
     answers = r.value().rows.size();
     benchmark::DoNotOptimize(r);
   }
@@ -70,15 +73,18 @@ int main(int argc, char** argv) {
   {
     using namespace gqzoo;
     EdgeLabeledGraph g = Figure2Graph();
+    GraphSnapshot snap(g);
     auto pairs = EvalRpq(
-        g, *ParseRegex("Transfer*", RegexDialect::kPlain).ValueOrDie());
+        snap, Nfa::FromRegex(
+                  *ParseRegex("Transfer*", RegexDialect::kPlain).ValueOrDie(),
+                  g));
     printf("E1 / Figure 2. Transfer* answers: %zu "
            "(paper: all 36 account pairs + trivial self-pairs)\n",
            pairs.size());
     Crpq q1 = ParseCrpq("q1(x1, x2, x3) := Transfer(x1, x2), "
                         "Transfer(x1, x3), Transfer(x2, x3)")
                   .ValueOrDie();
-    Result<CrpqResult> r1 = EvalCrpq(g, q1);
+    Result<CrpqResult> r1 = EvalCrpq(g, q1, {.snapshot = &snap});
     printf("q1 answers (paper: {(a3,a2,a4), (a6,a3,a5)}):\n%s",
            r1.value().ToString(g).c_str());
   }

@@ -21,6 +21,7 @@ namespace {
 
 void BM_Example16_Enumerate(benchmark::State& state) {
   EdgeLabeledGraph g = Figure2Graph();
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("(Transfer^z)* isBlocked", RegexDialect::kPlain)
            .ValueOrDie(),
@@ -29,7 +30,7 @@ void BM_Example16_Enumerate(benchmark::State& state) {
   limits.max_length = 12;
   size_t results = 0;
   for (auto _ : state) {
-    Pmr pmr = BuildPmr(g, nfa, {}, {});
+    Pmr pmr = BuildPmr(snap, nfa, {}, {});
     std::vector<PathBinding> bindings = CollectPathBindings(pmr, limits);
     results = bindings.size();
     benchmark::DoNotOptimize(bindings);
@@ -40,12 +41,13 @@ BENCHMARK(BM_Example16_Enumerate);
 
 void BM_Example17_ShortestGrouped(benchmark::State& state) {
   EdgeLabeledGraph g = Figure2Graph();
+  GraphSnapshot snap(g);
   Crpq q = ParseCrpq("q(x1, x2, z) := owner(y1, x1), owner(y2, x2), "
                      "shortest (Transfer^z)+ (y1, y2)")
                .ValueOrDie();
   size_t answers = 0;
   for (auto _ : state) {
-    Result<CrpqResult> r = EvalCrpq(g, q);
+    Result<CrpqResult> r = EvalCrpq(g, q, {.snapshot = &snap});
     answers = r.value().rows.size();
     benchmark::DoNotOptimize(r);
   }
@@ -55,12 +57,13 @@ BENCHMARK(BM_Example17_ShortestGrouped);
 
 void BM_Example17_PerPairPmr(benchmark::State& state) {
   EdgeLabeledGraph g = Figure2Graph();
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("(Transfer^z)+", RegexDialect::kPlain).ValueOrDie(), g);
   NodeId a3 = *g.FindNode("a3");
   NodeId a1 = *g.FindNode("a1");
   for (auto _ : state) {
-    Pmr pmr = BuildPmrBetween(g, nfa, a3, a1).ShortestRestriction();
+    Pmr pmr = BuildPmrBetween(snap, nfa, a3, a1).ShortestRestriction();
     auto bindings = CollectPathBindings(pmr, EnumerationLimits{});
     benchmark::DoNotOptimize(bindings);
   }
@@ -74,10 +77,11 @@ int main(int argc, char** argv) {
   {
     using namespace gqzoo;
     EdgeLabeledGraph g = Figure2Graph();
+    GraphSnapshot snap(g);
     Crpq q = ParseCrpq("q(x1, x2, z) := owner(y1, x1), owner(y2, x2), "
                        "shortest (Transfer^z)+ (y1, y2)")
                  .ValueOrDie();
-    Result<CrpqResult> r = EvalCrpq(g, q);
+    Result<CrpqResult> r = EvalCrpq(g, q, {.snapshot = &snap});
     printf("E2 / Example 17 (shortest grouped by endpoint pair):\n%s",
            r.value().ToString(g).c_str());
     printf("(paper spotlights Jay,Rebecca -> list(t10) and "

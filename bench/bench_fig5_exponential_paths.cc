@@ -24,12 +24,13 @@ Nfa AStarNfa(const EdgeLabeledGraph& g) {
 void BM_Fig5_BuildPmr(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
+  GraphSnapshot snap(g);
   Nfa nfa = AStarNfa(g);
   NodeId s = *g.FindNode("s");
   NodeId t = *g.FindNode("t");
   size_t pmr_nodes = 0, pmr_edges = 0;
   for (auto _ : state) {
-    Pmr pmr = BuildPmrBetween(g, nfa, s, t);
+    Pmr pmr = BuildPmrBetween(snap, nfa, s, t);
     pmr_nodes = pmr.NumNodes();
     pmr_edges = pmr.NumEdges();
     benchmark::DoNotOptimize(pmr);
@@ -44,8 +45,9 @@ BENCHMARK(BM_Fig5_BuildPmr)->DenseRange(4, 24, 4);
 void BM_Fig5_CountWalks(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
+  GraphSnapshot snap(g);
   Nfa nfa = AStarNfa(g);
-  Pmr pmr = BuildPmrBetween(g, nfa, *g.FindNode("s"), *g.FindNode("t"));
+  Pmr pmr = BuildPmrBetween(snap, nfa, *g.FindNode("s"), *g.FindNode("t"));
   std::string count;
   for (auto _ : state) {
     count = CountPmrWalks(pmr)->ToString();
@@ -58,8 +60,9 @@ BENCHMARK(BM_Fig5_CountWalks)->DenseRange(4, 24, 4);
 void BM_Fig5_EnumerateAll(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
+  GraphSnapshot snap(g);
   Nfa nfa = AStarNfa(g);
-  Pmr pmr = BuildPmrBetween(g, nfa, *g.FindNode("s"), *g.FindNode("t"));
+  Pmr pmr = BuildPmrBetween(snap, nfa, *g.FindNode("s"), *g.FindNode("t"));
   size_t results = 0;
   for (auto _ : state) {
     results = 0;
@@ -85,9 +88,10 @@ int main(int argc, char** argv) {
     printf("%4s %12s %12s %20s\n", "n", "pmr_nodes", "pmr_edges", "paths");
     for (size_t n = 4; n <= 24; n += 4) {
       EdgeLabeledGraph g = ParallelChain(n);
+      GraphSnapshot snap(g);
       Nfa nfa = Nfa::FromRegex(
           *ParseRegex("(a^z)*", RegexDialect::kPlain).ValueOrDie(), g);
-      Pmr pmr = BuildPmrBetween(g, nfa, *g.FindNode("s"), *g.FindNode("t"));
+      Pmr pmr = BuildPmrBetween(snap, nfa, *g.FindNode("s"), *g.FindNode("t"));
       printf("%4zu %12zu %12zu %20s\n", n, pmr.NumNodes(), pmr.NumEdges(),
              CountPmrWalks(pmr)->ToString().c_str());
     }

@@ -23,7 +23,7 @@ std::vector<Path> CandidatePaths(const PropertyGraph& g, size_t max_len,
                                  size_t max_paths) {
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("_+", RegexDialect::kPlain).ValueOrDie(), g.skeleton());
-  Pmr pmr = BuildPmr(g.skeleton(), nfa, {}, {});
+  Pmr pmr = BuildPmr(GraphSnapshot(g), nfa, {}, {});
   EnumerationLimits limits;
   limits.max_length = max_len;
   limits.max_results = max_paths;

@@ -28,7 +28,8 @@ constexpr const char* kDlIncreasing =
 size_t DlAnswerCount(const PropertyGraph& g) {
   DlNfa nfa = DlNfa::FromRegex(
       *ParseRegex(kDlIncreasing, RegexDialect::kDl).ValueOrDie(), g);
-  DlEvaluator evaluator(g, nfa);
+  GraphSnapshot snap(g);
+  DlEvaluator evaluator(g, nfa, &snap);
   return evaluator.AllPairs().size();
 }
 

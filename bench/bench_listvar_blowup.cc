@@ -24,12 +24,13 @@ Nfa BlowupNfa(const EdgeLabeledGraph& g) {
 void BM_ListVarBlowup_DistinctBindings(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = Chain(2 * n);
+  GraphSnapshot snap(g);
   Nfa nfa = BlowupNfa(g);
   NodeId u = *g.FindNode("u1");
   NodeId v = *g.FindNode("u" + std::to_string(2 * n + 1));
   size_t bindings = 0;
   for (auto _ : state) {
-    Pmr pmr = BuildPmrBetween(g, nfa, u, v);
+    Pmr pmr = BuildPmrBetween(snap, nfa, u, v);
     std::set<Binding> distinct;
     EnumeratePathBindings(pmr, EnumerationLimits{},
                           [&distinct](const PathBinding& pb) {
@@ -46,12 +47,13 @@ BENCHMARK(BM_ListVarBlowup_DistinctBindings)->DenseRange(2, 14, 2);
 void BM_ListVarBlowup_CountRuns(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = Chain(2 * n);
+  GraphSnapshot snap(g);
   Nfa nfa = BlowupNfa(g);
   NodeId u = *g.FindNode("u1");
   NodeId v = *g.FindNode("u" + std::to_string(2 * n + 1));
   std::string count;
   for (auto _ : state) {
-    Pmr pmr = BuildPmrBetween(g, nfa, u, v);
+    Pmr pmr = BuildPmrBetween(snap, nfa, u, v);
     count = CountPmrWalks(pmr)->ToString();
   }
   state.SetLabel("runs = " + count);
@@ -68,11 +70,11 @@ int main(int argc, char** argv) {
     printf("%4s %20s %20s\n", "n", "distinct z-lists", "paper (2^n)");
     for (size_t n = 2; n <= 12; n += 2) {
       EdgeLabeledGraph g = Chain(2 * n);
+      GraphSnapshot snap(g);
       Nfa nfa = Nfa::FromRegex(
           *ParseRegex("(a a^z | a^z a)*", RegexDialect::kPlain).ValueOrDie(),
           g);
-      Pmr pmr = BuildPmrBetween(
-          g, nfa, *g.FindNode("u1"),
+      Pmr pmr = BuildPmrBetween(snap, nfa, *g.FindNode("u1"),
           *g.FindNode("u" + std::to_string(2 * n + 1)));
       std::set<Binding> distinct;
       EnumeratePathBindings(pmr, EnumerationLimits{},

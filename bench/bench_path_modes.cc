@@ -23,6 +23,7 @@ Nfa AStar(const EdgeLabeledGraph& g) {
 
 void RunMode(benchmark::State& state, const EdgeLabeledGraph& g, NodeId u,
              NodeId v, PathMode mode, size_t cap) {
+  GraphSnapshot snap(g);
   Nfa nfa = AStar(g);
   EnumerationLimits limits;
   limits.max_results = cap;
@@ -31,7 +32,7 @@ void RunMode(benchmark::State& state, const EdgeLabeledGraph& g, NodeId u,
   bool truncated = false;
   for (auto _ : state) {
     EnumerationStats stats;
-    auto paths = CollectModePaths(g, nfa, u, v, mode, limits, &stats);
+    auto paths = CollectModePaths(snap, nfa, u, v, mode, limits, &stats);
     results = paths.size();
     truncated = stats.truncated;
     benchmark::DoNotOptimize(paths);
@@ -67,17 +68,18 @@ void BM_WellBehaved_Modes(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   const PathMode mode = static_cast<PathMode>(state.range(1));
   EdgeLabeledGraph g = RandomGraph(n, n + n / 2, 1, /*seed=*/23);  // sparse
+  GraphSnapshot snap(g);
   Nfa nfa = AStar(g);
   // Pick a target actually reachable from node 0 so the searches have
   // results to find (the PathFinder-style "well behaved" case).
-  std::vector<NodeId> reachable = EvalRpqFrom(g, nfa, 0);
+  std::vector<NodeId> reachable = EvalRpqFrom(snap, nfa, 0);
   NodeId target = reachable.empty() ? 0 : reachable[reachable.size() / 2];
   EnumerationLimits limits;
   limits.max_results = 1000;
   limits.max_length = 16;
   size_t results = 0;
   for (auto _ : state) {
-    auto paths = CollectModePaths(g, nfa, 0, target, mode, limits);
+    auto paths = CollectModePaths(snap, nfa, 0, target, mode, limits);
     results = paths.size();
     benchmark::DoNotOptimize(paths);
   }

@@ -16,17 +16,19 @@
 namespace gqzoo {
 namespace {
 
-Pmr BuildBenchPmr(const EdgeLabeledGraph& g) {
+Pmr BuildBenchPmr(const GraphSnapshot& snap) {
+  const EdgeLabeledGraph& g = snap.graph();
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("(a^z)*", RegexDialect::kPlain).ValueOrDie(), g);
-  return BuildPmrBetween(g, nfa, *g.FindNode("s"), *g.FindNode("t"));
+  return BuildPmrBetween(snap, nfa, *g.FindNode("s"), *g.FindNode("t"));
 }
 
 void BM_Preprocess_BuildAndTrim(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
+  GraphSnapshot snap(g);
   for (auto _ : state) {
-    Pmr pmr = BuildBenchPmr(g);
+    Pmr pmr = BuildBenchPmr(snap);
     benchmark::DoNotOptimize(pmr);
   }
   state.SetComplexityN(static_cast<int64_t>(n));
@@ -40,7 +42,8 @@ void BM_EnumerateFirstK(benchmark::State& state) {
   const size_t n = 64;
   const size_t k = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
-  Pmr pmr = BuildBenchPmr(g);
+  GraphSnapshot snap(g);
+  Pmr pmr = BuildBenchPmr(snap);
   EnumerationLimits limits;
   limits.max_results = k;
   size_t emitted = 0;
@@ -64,7 +67,8 @@ BENCHMARK(BM_EnumerateFirstK)->RangeMultiplier(4)->Range(16, 16384);
 void BM_FullMaterialization(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
-  Pmr pmr = BuildBenchPmr(g);
+  GraphSnapshot snap(g);
+  Pmr pmr = BuildBenchPmr(snap);
   size_t total = 0;
   for (auto _ : state) {
     std::vector<PathBinding> all =

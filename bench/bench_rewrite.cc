@@ -45,10 +45,11 @@ void EvalCase(benchmark::State& state, bool simplified) {
                    .ValueOrDie();
   if (simplified) r = SimplifyRegex(r);
   EdgeLabeledGraph g = RandomGraph(512, 2048, 2, /*seed=*/13);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(*r, g);
   size_t answers = 0;
   for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(snap, nfa);
     answers = pairs.size();
     benchmark::DoNotOptimize(pairs);
   }

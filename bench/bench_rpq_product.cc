@@ -25,11 +25,12 @@ const char* kQueries[] = {
 void BM_AllPairs_GraphScaling(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = RandomGraph(n, 4 * n, 3, /*seed=*/11);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("(a b)* c", RegexDialect::kPlain).ValueOrDie(), g);
   size_t answers = 0;
   for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(snap, nfa);
     answers = pairs.size();
     benchmark::DoNotOptimize(pairs);
   }
@@ -44,10 +45,11 @@ BENCHMARK(BM_AllPairs_GraphScaling)
 void BM_SinglePair_GraphScaling(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = RandomGraph(n, 4 * n, 3, /*seed=*/11);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("(a b)* c", RegexDialect::kPlain).ValueOrDie(), g);
   for (auto _ : state) {
-    bool hit = EvalRpqPair(g, nfa, 0, static_cast<NodeId>(n - 1));
+    bool hit = EvalRpqPair(snap, nfa, 0, static_cast<NodeId>(n - 1));
     benchmark::DoNotOptimize(hit);
   }
   state.SetComplexityN(static_cast<int64_t>(n));
@@ -60,10 +62,11 @@ BENCHMARK(BM_SinglePair_GraphScaling)
 void BM_AutomatonScaling(benchmark::State& state) {
   const size_t qi = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = RandomGraph(512, 2048, 3, /*seed=*/11);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex(kQueries[qi], RegexDialect::kPlain).ValueOrDie(), g);
   for (auto _ : state) {
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(snap, nfa);
     benchmark::DoNotOptimize(pairs);
   }
   state.counters["nfa_states"] = static_cast<double>(nfa.num_states());
@@ -74,11 +77,12 @@ BENCHMARK(BM_AutomatonScaling)->DenseRange(0, 4, 1);
 void BM_MaterializedProductConstruction(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = RandomGraph(n, 4 * n, 3, /*seed=*/11);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("(a|b)* a (a|b)", RegexDialect::kPlain).ValueOrDie(), g);
   size_t arcs = 0;
   for (auto _ : state) {
-    ProductGraph product(g, nfa);
+    ProductGraph product(snap, nfa);
     arcs = product.NumArcs();
     benchmark::DoNotOptimize(product);
   }

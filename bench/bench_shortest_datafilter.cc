@@ -23,9 +23,10 @@ constexpr const char* kOneCheap =
 
 void BM_Fig3_OneCheap(benchmark::State& state) {
   PropertyGraph g = Figure3Graph();
+  GraphSnapshot snap(g);
   DlNfa nfa = DlNfa::FromRegex(
       *ParseRegex(kOneCheap, RegexDialect::kDl).ValueOrDie(), g);
-  DlEvaluator evaluator(g, nfa);
+  DlEvaluator evaluator(g, nfa, &snap);
   NodeId a3 = *g.FindNode("a3");
   NodeId a5 = *g.FindNode("a5");
   size_t len = 0;
@@ -39,13 +40,14 @@ BENCHMARK(BM_Fig3_OneCheap);
 
 void BM_Fig3_TwoCheap(benchmark::State& state) {
   PropertyGraph g = Figure3Graph();
+  GraphSnapshot snap(g);
   const std::string cheap = "()[Transfer][amount < 4500000]";
   const std::string query = "( ()[Transfer] )* " + cheap +
                             " ( ()[Transfer] )* " + cheap +
                             " ( ()[Transfer] )* ()";
   DlNfa nfa = DlNfa::FromRegex(
       *ParseRegex(query, RegexDialect::kDl).ValueOrDie(), g);
-  DlEvaluator evaluator(g, nfa);
+  DlEvaluator evaluator(g, nfa, &snap);
   NodeId a3 = *g.FindNode("a3");
   NodeId a5 = *g.FindNode("a5");
   size_t len = 0;
@@ -61,9 +63,10 @@ void BM_Ring_ShortestWithFilter(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph g = TransferRing(n, /*num_cheap=*/1, /*threshold=*/4.5e6,
                                  /*seed=*/7);
+  GraphSnapshot snap(g);
   DlNfa nfa = DlNfa::FromRegex(
       *ParseRegex(kOneCheap, RegexDialect::kDl).ValueOrDie(), g);
-  DlEvaluator evaluator(g, nfa);
+  DlEvaluator evaluator(g, nfa, &snap);
   NodeId u = *g.FindNode("acct1");
   NodeId v = *g.FindNode("acct0");
   size_t len = 0;
@@ -78,9 +81,10 @@ BENCHMARK(BM_Ring_ShortestWithFilter)->RangeMultiplier(2)->Range(16, 1024);
 void BM_Ring_ShortestNoFilter(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   PropertyGraph g = TransferRing(n, 1, 4.5e6, 7);
+  GraphSnapshot snap(g);
   DlNfa nfa = DlNfa::FromRegex(
       *ParseRegex("( ()[Transfer] )* ()", RegexDialect::kDl).ValueOrDie(), g);
-  DlEvaluator evaluator(g, nfa);
+  DlEvaluator evaluator(g, nfa, &snap);
   NodeId u = *g.FindNode("acct1");
   NodeId v = *g.FindNode("acct0");
   for (auto _ : state) {
@@ -97,9 +101,10 @@ int main(int argc, char** argv) {
   {
     using namespace gqzoo;
     PropertyGraph g = Figure3Graph();
+    GraphSnapshot snap(g);
     DlNfa nfa = DlNfa::FromRegex(
         *ParseRegex(kOneCheap, RegexDialect::kDl).ValueOrDie(), g);
-    DlEvaluator evaluator(g, nfa);
+    DlEvaluator evaluator(g, nfa, &snap);
     NodeId a3 = *g.FindNode("a3");
     NodeId a5 = *g.FindNode("a5");
     EnumerationLimits limits;

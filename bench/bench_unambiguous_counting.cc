@@ -19,11 +19,12 @@ namespace {
 void BM_CountWithUnambiguous(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("a*", RegexDialect::kPlain).ValueOrDie(), g);
   std::string count;
   for (auto _ : state) {
-    BigUint c = CountRunsOnPaths(g, nfa, *g.FindNode("s"), *g.FindNode("t"),
+    BigUint c = CountRunsOnPaths(snap, nfa, *g.FindNode("s"), *g.FindNode("t"),
                                  n + 2);
     count = c.ToString();
     benchmark::DoNotOptimize(c);
@@ -35,11 +36,12 @@ BENCHMARK(BM_CountWithUnambiguous)->DenseRange(8, 32, 8);
 void BM_CountWithAmbiguous(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
+  GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(
       *ParseRegex("a* a* a*", RegexDialect::kPlain).ValueOrDie(), g);
   std::string count;
   for (auto _ : state) {
-    BigUint c = CountRunsOnPaths(g, nfa, *g.FindNode("s"), *g.FindNode("t"),
+    BigUint c = CountRunsOnPaths(snap, nfa, *g.FindNode("s"), *g.FindNode("t"),
                                  n + 2);
     count = c.ToString();
     benchmark::DoNotOptimize(c);
@@ -51,6 +53,7 @@ BENCHMARK(BM_CountWithAmbiguous)->DenseRange(8, 32, 8);
 void BM_DisambiguateByDeterminization(benchmark::State& state) {
   const size_t n = static_cast<size_t>(state.range(0));
   EdgeLabeledGraph g = ParallelChain(n);
+  GraphSnapshot snap(g);
   Nfa ambiguous = Nfa::FromRegex(
       *ParseRegex("a* a* a*", RegexDialect::kPlain).ValueOrDie(), g);
   std::string count;
@@ -58,7 +61,7 @@ void BM_DisambiguateByDeterminization(benchmark::State& state) {
   for (auto _ : state) {
     Nfa dfa = Determinize(ambiguous);
     dfa_states = dfa.num_states();
-    BigUint c = CountRunsOnPaths(g, dfa, *g.FindNode("s"), *g.FindNode("t"),
+    BigUint c = CountRunsOnPaths(snap, dfa, *g.FindNode("s"), *g.FindNode("t"),
                                  n + 2);
     count = c.ToString();
     benchmark::DoNotOptimize(c);
@@ -92,6 +95,7 @@ int main(int argc, char** argv) {
   {
     using namespace gqzoo;
     EdgeLabeledGraph g = ParallelChain(8);
+    GraphSnapshot snap(g);
     Nfa plain = Nfa::FromRegex(
         *ParseRegex("a*", RegexDialect::kPlain).ValueOrDie(), g);
     Nfa amb = Nfa::FromRegex(
@@ -100,12 +104,12 @@ int main(int argc, char** argv) {
     printf("ParallelChain(8): true path count 2^8 = 256\n");
     printf("  a*        (unambiguous: %s) counts %s\n",
            IsAmbiguous(plain) ? "no" : "yes",
-           CountRunsOnPaths(g, plain, 0, 8, 10).ToString().c_str());
+           CountRunsOnPaths(snap, plain, 0, 8, 10).ToString().c_str());
     printf("  a* a* a*  (unambiguous: %s) counts %s\n",
            IsAmbiguous(amb) ? "no" : "yes",
-           CountRunsOnPaths(g, amb, 0, 8, 10).ToString().c_str());
+           CountRunsOnPaths(snap, amb, 0, 8, 10).ToString().c_str());
     printf("  after determinization:     counts %s\n\n",
-           CountRunsOnPaths(g, Determinize(amb), 0, 8, 10)
+           CountRunsOnPaths(snap, Determinize(amb), 0, 8, 10)
                .ToString()
                .c_str());
   }

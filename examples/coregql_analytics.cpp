@@ -51,6 +51,7 @@ PropertyGraph BuildAccountGraph() {
 
 int main() {
   PropertyGraph g = BuildAccountGraph();
+  GraphSnapshot snap(g);
 
   // The paper's query: accounts connected to two *different* devices with
   // the same fingerprint, returning the account and its segment. The
@@ -60,7 +61,8 @@ int main() {
       RunCoreGql(g,
                  "MATCH (x:Account)-[:uses]->(x1:Device), "
                  "      (x)-[:uses]->(x2:Device) "
-                 "WHERE x1.p = x2.p RETURN x, x.s, x1, x2")
+                 "WHERE x1.p = x2.p RETURN x, x.s, x1, x2",
+                 {.path_options = {.snapshot = &snap}})
           .ValueOrDie();
   const CoreRelation& rel = matched.relation;
   size_t i1 = rel.AttrIndex("x1");
@@ -75,7 +77,8 @@ int main() {
   // Set operations between blocks: retail accounts that are NOT flagged.
   CoreRelation flagged = Project(distinct, {"x"}).ValueOrDie();
   CoreQueryResult retail =
-      RunCoreGql(g, "MATCH (x:Account) WHERE x.s = 'retail' RETURN x")
+      RunCoreGql(g, "MATCH (x:Account) WHERE x.s = 'retail' RETURN x",
+                 {.path_options = {.snapshot = &snap}})
           .ValueOrDie();
   CoreRelation clean =
       DifferenceRel(retail.relation, flagged).ValueOrDie();
@@ -86,7 +89,8 @@ int main() {
   // chains between accounts.
   CoreQueryResult chains =
       RunCoreGql(g,
-                 "MATCH p = (a:Account) (-[:uses]-> ()){1,2} RETURN p")
+                 "MATCH p = (a:Account) (-[:uses]-> ()){1,2} RETURN p",
+                 {.path_options = {.snapshot = &snap}})
           .ValueOrDie();
   printf("uses-chains (paths as first-class outputs):\n%s",
          chains.relation.ToString(g.skeleton()).c_str());

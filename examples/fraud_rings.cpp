@@ -58,6 +58,7 @@ PropertyGraph BuildNetwork() {
 
 int main() {
   PropertyGraph net = BuildNetwork();
+  GraphSnapshot snap(net);
   printf("Transfer network: %zu accounts, %zu transfers.\n\n", net.NumNodes(),
          net.NumEdges());
 
@@ -66,7 +67,8 @@ int main() {
                     "rings(z) := trail (Transfer^z Transfer^z Transfer^z "
                     "Transfer^z) (@acct3, @acct3)")
                     .ValueOrDie();
-  CrpqResult r = EvalCrpq(net.skeleton(), cycles).ValueOrDie();
+  CrpqResult r =
+      EvalCrpq(net.skeleton(), cycles, {.snapshot = &snap}).ValueOrDie();
   printf("(1) 4-hop transfer cycles at acct3 (trail mode): %zu\n",
          r.rows.size());
   for (const auto& row : r.rows) {
@@ -81,7 +83,7 @@ int main() {
                   RegexDialect::kDl)
            .ValueOrDie(),
       net);
-  DlEvaluator evaluator(net, structuring);
+  DlEvaluator evaluator(net, structuring, &snap);
   NodeId acct3 = *net.FindNode("acct3");
   EnumerationLimits limits;
   limits.max_length = 8;
@@ -95,13 +97,14 @@ int main() {
 
   // (3) Figure 3's detour: shortest Mike -> Rebecca with one cheap hop.
   PropertyGraph fig3 = Figure3Graph();
+  GraphSnapshot fig3_snap(fig3);
   DlNfa detour = DlNfa::FromRegex(
       *ParseRegex("( ()[Transfer] )* ()[Transfer][amount < 4500000] "
                   "( ()[Transfer] )* ()",
                   RegexDialect::kDl)
            .ValueOrDie(),
       fig3);
-  DlEvaluator fig3_eval(fig3, detour);
+  DlEvaluator fig3_eval(fig3, detour, &fig3_snap);
   EnumerationLimits fig3_limits;
   fig3_limits.max_length = 12;
   printf("\n(3) shortest Mike->Rebecca path with a sub-4.5M transfer "

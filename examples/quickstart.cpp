@@ -20,15 +20,19 @@ using namespace gqzoo;
 
 int main() {
   // ---- The data: Figures 2 and 3 ---------------------------------------
+  // Every evaluator reads a GraphSnapshot: the graph's label-partitioned
+  // CSR adjacency, built once per graph.
   EdgeLabeledGraph fig2 = Figure2Graph();
+  GraphSnapshot fig2_snap(fig2);
   PropertyGraph fig3 = Figure3Graph();
+  GraphSnapshot fig3_snap(fig3);
   printf("Figure 2: %zu nodes, %zu edges. Figure 3: %zu nodes, %zu edges.\n\n",
          fig2.NumNodes(), fig2.NumEdges(), fig3.NumNodes(), fig3.NumEdges());
 
   // ---- Example 12: the RPQ Transfer* ------------------------------------
   RegexPtr transfer_star =
       ParseRegex("Transfer*", RegexDialect::kPlain).ValueOrDie();
-  auto pairs = EvalRpq(fig2, *transfer_star);
+  auto pairs = EvalRpq(fig2_snap, Nfa::FromRegex(*transfer_star, fig2));
   printf("Example 12 — [[Transfer*]] has %zu pairs (accounts are strongly "
          "connected).\n\n",
          pairs.size());
@@ -38,20 +42,26 @@ int main() {
                       "Transfer(x1, x3), Transfer(x2, x3)")
                 .ValueOrDie();
   printf("Example 13 — %s\n", q1.ToString().c_str());
-  printf("%s\n", EvalCrpq(fig2, q1).ValueOrDie().ToString(fig2).c_str());
+  printf("%s\n", EvalCrpq(fig2, q1, {.snapshot = &fig2_snap})
+                     .ValueOrDie()
+                     .ToString(fig2)
+                     .c_str());
 
   Crpq q2 = ParseCrpq("q2(x, x1, x2) := owner(y, x1), isBlocked(y, x2), "
                       "(Transfer Transfer?)(x, y)")
                 .ValueOrDie();
   printf("Example 13 — %s\n", q2.ToString().c_str());
-  printf("%s\n", EvalCrpq(fig2, q2).ValueOrDie().ToString(fig2).c_str());
+  printf("%s\n", EvalCrpq(fig2, q2, {.snapshot = &fig2_snap})
+                     .ValueOrDie()
+                     .ToString(fig2)
+                     .c_str());
 
   // ---- Example 16: an l-RPQ and its path bindings -----------------------
   Nfa lrpq = Nfa::FromRegex(
       *ParseRegex("(Transfer^z)* isBlocked", RegexDialect::kPlain)
            .ValueOrDie(),
       fig2);
-  Pmr pmr = BuildPmr(fig2, lrpq, {*fig2.FindNode("a3")}, {});
+  Pmr pmr = BuildPmr(fig2_snap, lrpq, {*fig2.FindNode("a3")}, {});
   EnumerationLimits limits;
   limits.max_length = 3;
   printf("Example 16 — (Transfer^z)* isBlocked from a3, paths of length <= "
@@ -68,7 +78,10 @@ int main() {
                        "shortest (Transfer^z)+ (y1, y2)")
                  .ValueOrDie();
   printf("Example 17 — %s\n", q17.ToString().c_str());
-  printf("%s\n", EvalCrpq(fig2, q17).ValueOrDie().ToString(fig2).c_str());
+  printf("%s\n", EvalCrpq(fig2, q17, {.snapshot = &fig2_snap})
+                     .ValueOrDie()
+                     .ToString(fig2)
+                     .c_str());
 
   // ---- Example 21: dl-RPQ with data tests (increasing dates) ------------
   DlNfa dl = DlNfa::FromRegex(
@@ -78,7 +91,7 @@ int main() {
            RegexDialect::kDl)
            .ValueOrDie(),
       fig3);
-  DlEvaluator evaluator(fig3, dl);
+  DlEvaluator evaluator(fig3, dl, &fig3_snap);
   printf("Example 21 — transfers with increasing dates from a1 to a5:\n");
   EnumerationLimits dl_limits;
   dl_limits.max_length = 6;

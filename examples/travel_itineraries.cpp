@@ -45,6 +45,7 @@ PropertyGraph BuildFlights() {
 
 int main() {
   PropertyGraph g = BuildFlights();
+  GraphSnapshot snap(g);
   NodeId par = *g.FindNode("PAR");
   NodeId ber = *g.FindNode("BER");
   printf("Flight network: %zu cities, %zu flights. Itineraries PAR -> BER "
@@ -58,7 +59,7 @@ int main() {
                   RegexDialect::kDl)
            .ValueOrDie(),
       g);
-  DlEvaluator evaluator(g, dl);
+  DlEvaluator evaluator(g, dl, &snap);
   EnumerationLimits limits;
   limits.max_length = 6;
   std::set<Path> dl_paths;
@@ -115,10 +116,12 @@ int main() {
   for (NodeId n = 0; n < hubs.NumNodes(); ++n) {
     hubs.SetProperty(ObjectRef::Node(n), "tier", Value(static_cast<int64_t>(n)));
   }
+  GraphSnapshot hubs_snap(hubs);
   CoreQueryResult node_inc =
       RunCoreGql(hubs,
                  "MATCH (x) ( ((u)->(v)) WHERE u.tier < v.tier )* (y) "
-                 "RETURN x, y")
+                 "RETURN x, y",
+                 {.path_options = {.snapshot = &hubs_snap}})
           .ValueOrDie();
   printf("\n(Example 3 contrast) node-increasing pattern answers: %zu — "
          "a single WHERE inside the star suffices for nodes.\n",

@@ -22,15 +22,11 @@ BigUint CountAcceptingRuns(const Nfa& a, const std::vector<LabelId>& word) {
   return total;
 }
 
-namespace {
-
-// Shared DP body: `expand(n, q, add)` must call `add(next_node, next_state)`
-// once per product transition out of (n, q).
-template <typename Expand>
-BigUint CountRunsOnPathsImpl(size_t num_nodes, const Nfa& a, NodeId u,
-                             NodeId v, size_t max_len, Expand&& expand) {
+BigUint CountRunsOnPaths(const GraphSnapshot& s, const Nfa& a, NodeId u,
+                         NodeId v, size_t max_len) {
   // count[n][q] = number of (path, run) pairs of the current length from
   // (u, initial) to (n, q).
+  const size_t num_nodes = s.NumNodes();
   const uint32_t num_states = a.num_states();
   std::vector<std::vector<BigUint>> current(num_nodes,
                                             std::vector<BigUint>(num_states));
@@ -52,10 +48,14 @@ BigUint CountRunsOnPathsImpl(size_t num_nodes, const Nfa& a, NodeId u,
     for (NodeId n = 0; n < num_nodes; ++n) {
       for (uint32_t q = 0; q < num_states; ++q) {
         if (current[n][q].is_zero()) continue;
-        expand(n, q, [&](NodeId to_node, uint32_t to_state) {
-          next[to_node][to_state] += current[n][q];
-          any = true;
-        });
+        for (const Nfa::Transition& t : a.Out(q)) {
+          // Counting is over one-way paths; transitions step forward.
+          s.ForEachMatch(n, t.pred, /*inverse=*/false,
+                         [&](const GraphSnapshot::Hop& hop) {
+                           next[hop.node][t.to] += current[n][q];
+                           any = true;
+                         });
+        }
       }
     }
     if (!any) break;
@@ -63,37 +63,6 @@ BigUint CountRunsOnPathsImpl(size_t num_nodes, const Nfa& a, NodeId u,
     total += tally(current);
   }
   return total;
-}
-
-}  // namespace
-
-BigUint CountRunsOnPaths(const EdgeLabeledGraph& g, const Nfa& a, NodeId u,
-                         NodeId v, size_t max_len) {
-  return CountRunsOnPathsImpl(
-      g.NumNodes(), a, u, v, max_len,
-      [&](NodeId n, uint32_t q, auto add) {
-        for (EdgeId e : g.OutEdges(n)) {
-          LabelId l = g.EdgeLabel(e);
-          for (const Nfa::Transition& t : a.Out(q)) {
-            if (t.pred.Matches(l)) add(g.Tgt(e), t.to);
-          }
-        }
-      });
-}
-
-BigUint CountRunsOnPaths(const GraphSnapshot& s, const Nfa& a, NodeId u,
-                         NodeId v, size_t max_len) {
-  return CountRunsOnPathsImpl(
-      s.NumNodes(), a, u, v, max_len,
-      [&](NodeId n, uint32_t q, auto add) {
-        for (const Nfa::Transition& t : a.Out(q)) {
-          // Counting is over one-way paths; transitions step forward.
-          s.ForEachMatch(n, t.pred, /*inverse=*/false,
-                         [&](const GraphSnapshot::Hop& hop) {
-                           add(hop.node, t.to);
-                         });
-        }
-      });
 }
 
 }  // namespace gqzoo

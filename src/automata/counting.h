@@ -12,14 +12,11 @@ namespace gqzoo {
 BigUint CountAcceptingRuns(const Nfa& a, const std::vector<LabelId>& word);
 
 /// Number of accepting runs of `a` over paths of length ≤ `max_len` from
-/// `u` to `v` in `g` (DP over the product graph, Section 6.2). When `a` is
-/// unambiguous (see IsAmbiguous), this equals the number of matching paths
-/// from `u` to `v` of length ≤ `max_len` — the paper's recipe for path
-/// counting.
-BigUint CountRunsOnPaths(const EdgeLabeledGraph& g, const Nfa& a, NodeId u,
-                         NodeId v, size_t max_len);
-/// Label-sliced variant: each DP step expands per NFA transition over
-/// exactly the label slice it matches. Same count (addition commutes).
+/// `u` to `v` in `s` (DP over the product graph, Section 6.2; each step
+/// expands per NFA transition over exactly the label slice it matches).
+/// When `a` is unambiguous (see IsAmbiguous), this equals the number of
+/// matching paths from `u` to `v` of length ≤ `max_len` — the paper's
+/// recipe for path counting.
 BigUint CountRunsOnPaths(const GraphSnapshot& s, const Nfa& a, NodeId u,
                          NodeId v, size_t max_len);
 

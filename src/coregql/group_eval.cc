@@ -30,13 +30,6 @@ void SortUnique(std::vector<GqlPathRow>* rows) {
   rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
 }
 
-bool LabelMatches(const PropertyGraph& g, ObjectRef o,
-                  const std::optional<std::string>& label) {
-  if (!label.has_value()) return true;
-  std::optional<LabelId> l = g.FindLabel(*label);
-  return l.has_value() && g.ObjectLabel(o) == *l;
-}
-
 // Join two bindings: shared singletons must agree; a singleton/group or
 // group/group collision is a degree error (GQL's restriction).
 enum class MergeOutcome { kOk, kMismatch, kDegreeError };
@@ -219,53 +212,16 @@ Result<std::vector<GqlPathRow>> Eval(EvalContext* ctx, const CorePattern& p) {
     return std::vector<GqlPathRow>{};
   }
   const PropertyGraph& g = ctx->g;
-  const GraphSnapshot* snap = ctx->options.snapshot;
   switch (p.kind()) {
-    case CorePattern::Kind::kNode: {
-      std::vector<GqlPathRow> rows;
-      auto emit = [&](NodeId n) {
-        GqlPathRow row;
-        row.path = Path::OfNode(n);
-        if (p.var().has_value()) row.mu[*p.var()] = GqlValue(ObjectRef::Node(n));
-        rows.push_back(std::move(row));
-      };
-      if (snap != nullptr && snap->has_node_labels() &&
-          p.label().has_value()) {
-        std::optional<LabelId> l = g.FindLabel(*p.label());
-        if (l.has_value()) {
-          for (NodeId n : snap->NodesWithLabel(*l)) emit(n);
-        }
-        return rows;
-      }
-      for (NodeId n = 0; n < g.NumNodes(); ++n) {
-        if (!LabelMatches(g, ObjectRef::Node(n), p.label())) continue;
-        emit(n);
-      }
-      return rows;
-    }
+    case CorePattern::Kind::kNode:
     case CorePattern::Kind::kEdge: {
       std::vector<GqlPathRow> rows;
-      auto emit = [&](EdgeId e) {
-        ObjectRef o = ObjectRef::Edge(e);
+      ForEachAtomMatch(g, *ctx->options.snapshot, p, [&](ObjectRef o) {
         GqlPathRow row;
-        row.path = Path::MakeUnchecked({ObjectRef::Node(g.Src(e)), o,
-                                        ObjectRef::Node(g.Tgt(e))});
+        row.path = AtomPath(g, o);
         if (p.var().has_value()) row.mu[*p.var()] = GqlValue(o);
         rows.push_back(std::move(row));
-      };
-      if (snap != nullptr && p.label().has_value()) {
-        std::optional<LabelId> l = g.FindLabel(*p.label());
-        if (l.has_value()) {
-          for (const GraphSnapshot::Hop& hop : snap->EdgesWithLabel(*l)) {
-            emit(hop.edge);
-          }
-        }
-        return rows;
-      }
-      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-        if (!LabelMatches(g, ObjectRef::Edge(e), p.label())) continue;
-        emit(e);
-      }
+      });
       return rows;
     }
     case CorePattern::Kind::kConcat: {
@@ -340,6 +296,10 @@ Result<std::vector<GqlPathRow>> Eval(EvalContext* ctx, const CorePattern& p) {
 Result<GqlEvalResult> EvalGqlGroupPattern(const PropertyGraph& g,
                                           const CorePattern& pattern,
                                           const CorePathEvalOptions& options) {
+  if (options.snapshot == nullptr) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "GQL group-pattern evaluation needs a graph snapshot");
+  }
   EvalContext ctx{g, options};
   Result<std::vector<GqlPathRow>> rows = Eval(&ctx, pattern);
   if (!rows.ok()) return rows.error();

@@ -88,7 +88,7 @@ struct GqlEvalResult {
 /// Enumerative and bounded like EvalPatternPaths.
 Result<GqlEvalResult> EvalGqlGroupPattern(
     const PropertyGraph& g, const CorePattern& pattern,
-    const CorePathEvalOptions& options = {});
+    const CorePathEvalOptions& options);
 
 }  // namespace gqzoo
 

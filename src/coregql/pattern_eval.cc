@@ -62,13 +62,6 @@ bool MergeBindings(const CoreBinding& a, const CoreBinding& b,
   return true;
 }
 
-bool LabelMatches(const PropertyGraph& g, ObjectRef o,
-                  const std::optional<std::string>& label) {
-  if (!label.has_value()) return true;
-  std::optional<LabelId> l = g.FindLabel(*label);
-  return l.has_value() && g.ObjectLabel(o) == *l;
-}
-
 void SortUnique(std::vector<CorePairRow>* rows) {
   std::sort(rows->begin(), rows->end());
   rows->erase(std::unique(rows->begin(), rows->end()), rows->end());
@@ -117,55 +110,23 @@ std::vector<std::pair<NodeId, NodeId>> ComposeSteps(
 }
 
 Result<std::vector<CorePairRow>> EvalPairsRec(const PropertyGraph& g,
-                                              const GraphSnapshot* snap,
+                                              const GraphSnapshot& snap,
                                               const CorePattern& p,
                                               const CancellationToken* cancel) {
   if (ShouldStop(cancel)) return std::vector<CorePairRow>{};
   switch (p.kind()) {
-    case CorePattern::Kind::kNode: {
-      std::vector<CorePairRow> rows;
-      auto emit = [&](NodeId n) {
-        CoreBinding mu;
-        if (p.var().has_value()) mu[*p.var()] = ObjectRef::Node(n);
-        rows.push_back({n, n, std::move(mu)});
-      };
-      if (snap != nullptr && snap->has_node_labels() &&
-          p.label().has_value()) {
-        // Index lookup instead of an all-nodes scan; ids ascend, matching
-        // the scan's emission order.
-        std::optional<LabelId> l = g.FindLabel(*p.label());
-        if (l.has_value()) {
-          for (NodeId n : snap->NodesWithLabel(*l)) emit(n);
-        }
-        return rows;
-      }
-      for (NodeId n = 0; n < g.NumNodes(); ++n) {
-        if (!LabelMatches(g, ObjectRef::Node(n), p.label())) continue;
-        emit(n);
-      }
-      return rows;
-    }
+    case CorePattern::Kind::kNode:
     case CorePattern::Kind::kEdge: {
       std::vector<CorePairRow> rows;
-      auto emit = [&](EdgeId e) {
+      ForEachAtomMatch(g, snap, p, [&](ObjectRef o) {
         CoreBinding mu;
-        if (p.var().has_value()) mu[*p.var()] = ObjectRef::Edge(e);
-        rows.push_back({g.Src(e), g.Tgt(e), std::move(mu)});
-      };
-      if (snap != nullptr && p.label().has_value()) {
-        std::optional<LabelId> l = g.FindLabel(*p.label());
-        if (l.has_value()) {
-          // Graph-wide label slice, sorted by edge id like the scan.
-          for (const GraphSnapshot::Hop& hop : snap->EdgesWithLabel(*l)) {
-            emit(hop.edge);
-          }
+        if (p.var().has_value()) mu[*p.var()] = o;
+        if (o.is_node()) {
+          rows.push_back({o.id, o.id, std::move(mu)});
+        } else {
+          rows.push_back({g.Src(o.id), g.Tgt(o.id), std::move(mu)});
         }
-        return rows;
-      }
-      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-        if (!LabelMatches(g, ObjectRef::Edge(e), p.label())) continue;
-        emit(e);
-      }
+      });
       return rows;
     }
     case CorePattern::Kind::kConcat: {
@@ -249,52 +210,15 @@ Result<std::vector<CorePathRow>> EvalPathsRec(PathEvalContext* ctx,
     ctx->truncated = true;
     return std::vector<CorePathRow>{};
   }
-  const GraphSnapshot* snap = ctx->options.snapshot;
   switch (p.kind()) {
-    case CorePattern::Kind::kNode: {
-      std::vector<CorePathRow> rows;
-      auto emit = [&](NodeId n) {
-        CoreBinding mu;
-        if (p.var().has_value()) mu[*p.var()] = ObjectRef::Node(n);
-        rows.push_back({Path::OfNode(n), std::move(mu)});
-      };
-      if (snap != nullptr && snap->has_node_labels() &&
-          p.label().has_value()) {
-        std::optional<LabelId> l = g.FindLabel(*p.label());
-        if (l.has_value()) {
-          for (NodeId n : snap->NodesWithLabel(*l)) emit(n);
-        }
-        return rows;
-      }
-      for (NodeId n = 0; n < g.NumNodes(); ++n) {
-        if (!LabelMatches(g, ObjectRef::Node(n), p.label())) continue;
-        emit(n);
-      }
-      return rows;
-    }
+    case CorePattern::Kind::kNode:
     case CorePattern::Kind::kEdge: {
       std::vector<CorePathRow> rows;
-      auto emit = [&](EdgeId e) {
-        ObjectRef o = ObjectRef::Edge(e);
+      ForEachAtomMatch(g, *ctx->options.snapshot, p, [&](ObjectRef o) {
         CoreBinding mu;
         if (p.var().has_value()) mu[*p.var()] = o;
-        rows.push_back({Path::MakeUnchecked({ObjectRef::Node(g.Src(e)), o,
-                                             ObjectRef::Node(g.Tgt(e))}),
-                        std::move(mu)});
-      };
-      if (snap != nullptr && p.label().has_value()) {
-        std::optional<LabelId> l = g.FindLabel(*p.label());
-        if (l.has_value()) {
-          for (const GraphSnapshot::Hop& hop : snap->EdgesWithLabel(*l)) {
-            emit(hop.edge);
-          }
-        }
-        return rows;
-      }
-      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-        if (!LabelMatches(g, ObjectRef::Edge(e), p.label())) continue;
-        emit(e);
-      }
+        rows.push_back({AtomPath(g, o), std::move(mu)});
+      });
       return rows;
     }
     case CorePattern::Kind::kConcat: {
@@ -422,9 +346,15 @@ Result<std::vector<CorePathRow>> EvalPathsRec(PathEvalContext* ctx,
 
 }  // namespace
 
+Path AtomPath(const PropertyGraph& g, ObjectRef o) {
+  if (o.is_node()) return Path::OfNode(o.id);
+  return Path::MakeUnchecked(
+      {ObjectRef::Node(g.Src(o.id)), o, ObjectRef::Node(g.Tgt(o.id))});
+}
+
 Result<std::vector<CorePairRow>> EvalPatternPairs(
     const PropertyGraph& g, const CorePattern& pattern,
-    const CancellationToken* cancel, const GraphSnapshot* snapshot) {
+    const GraphSnapshot& snapshot, const CancellationToken* cancel) {
   Result<bool> valid = pattern.Validate();
   if (!valid.ok()) return valid.error();
   Result<std::vector<CorePairRow>> rows =
@@ -440,6 +370,10 @@ Result<std::vector<CorePairRow>> EvalPatternPairs(
 Result<CorePathEvalResult> EvalPatternPaths(const PropertyGraph& g,
                                             const CorePattern& pattern,
                                             const CorePathEvalOptions& options) {
+  if (options.snapshot == nullptr) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "CoreGQL path evaluation needs a graph snapshot");
+  }
   Result<bool> valid = pattern.Validate();
   if (!valid.ok()) return valid.error();
   PathEvalContext ctx{g, options};

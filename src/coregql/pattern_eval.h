@@ -2,6 +2,7 @@
 #define GQZOO_COREGQL_PATTERN_EVAL_H_
 
 #include <map>
+#include <optional>
 
 #include "src/coregql/pattern.h"
 #include "src/graph/csr.h"
@@ -38,20 +39,54 @@ struct CorePairRow {
   }
 };
 
+/// Calls `fn(ObjectRef)` for every element the node or edge atom `p`
+/// matches, in ascending id order. Label-filtered atoms are index lookups
+/// on `snapshot` (a snapshot of `g`): edge atoms read `EdgesWithLabel`,
+/// and node atoms read `NodesWithLabel` when the snapshot was built from a
+/// property graph (otherwise they scan and filter the nodes).
+template <typename Fn>
+void ForEachAtomMatch(const PropertyGraph& g, const GraphSnapshot& snapshot,
+                      const CorePattern& p, Fn&& fn) {
+  std::optional<LabelId> label;
+  if (p.label().has_value()) {
+    label = g.FindLabel(*p.label());
+    if (!label.has_value()) return;  // an unknown label matches nothing
+  }
+  if (p.kind() == CorePattern::Kind::kEdge) {
+    if (label.has_value()) {
+      for (const GraphSnapshot::Hop& hop : snapshot.EdgesWithLabel(*label)) {
+        fn(ObjectRef::Edge(hop.edge));
+      }
+    } else {
+      for (EdgeId e = 0; e < g.NumEdges(); ++e) fn(ObjectRef::Edge(e));
+    }
+    return;
+  }
+  if (label.has_value() && snapshot.has_node_labels()) {
+    for (NodeId n : snapshot.NodesWithLabel(*label)) fn(ObjectRef::Node(n));
+    return;
+  }
+  for (NodeId n = 0; n < g.NumNodes(); ++n) {
+    ObjectRef o = ObjectRef::Node(n);
+    if (!label.has_value() || g.ObjectLabel(o) == *label) fn(o);
+  }
+}
+
+/// The path a single atom match stands for: `path(n)` for a node,
+/// `src(e) e tgt(e)` for an edge.
+Path AtomPath(const PropertyGraph& g, ObjectRef o);
+
 /// Exact, always-terminating evaluation of `{(src(p), tgt(p), µ) | (p, µ) ∈
 /// [[π]]_G}` — finite even when [[π]]_G is infinite, because paths are
 /// projected to endpoints (repetition contributes endpoint pairs computed
 /// by reachability over the one-iteration pair relation). This is all a
 /// CoreGQL *relation* needs (Section 4.1.2: outputs are first-normal-form).
-/// `snapshot` (optional, not owned, over the same graph) turns the node
-/// and edge atom scans into index lookups: a label-filtered node atom
-/// reads `NodesWithLabel`, a label-filtered edge atom reads
-/// `EdgesWithLabel`, instead of scanning and filtering every element.
-/// Results are identical.
+/// `snapshot` (not owned) is a snapshot of `g`; atoms read its label
+/// indexes (see ForEachAtomMatch).
 Result<std::vector<CorePairRow>> EvalPatternPairs(
     const PropertyGraph& g, const CorePattern& pattern,
-    const CancellationToken* cancel = nullptr,
-    const GraphSnapshot* snapshot = nullptr);
+    const GraphSnapshot& snapshot,
+    const CancellationToken* cancel = nullptr);
 
 /// One result of path-level evaluation: the matched path itself plus µ.
 /// Needed for the `p = π` path-binding extension of Section 5.2.
@@ -74,8 +109,9 @@ struct CorePathEvalOptions {
   /// Optional cooperative cancellation (deadlines); enumeration returns a
   /// truncated result once the token trips. Not owned.
   const CancellationToken* cancel = nullptr;
-  /// Optional label-partitioned view of the same graph (not owned); see
-  /// EvalPatternPairs.
+  /// Label-partitioned view of the same graph (not owned); see
+  /// ForEachAtomMatch. Required: EvalPatternPaths, EvalCoreGqlQuery and
+  /// EvalGqlGroupPattern reject a missing snapshot with kInvalidArgument.
   const GraphSnapshot* snapshot = nullptr;
 };
 
@@ -91,7 +127,7 @@ struct CorePathEvalResult {
 /// penalty the paper observes (Section 5.2).
 Result<CorePathEvalResult> EvalPatternPaths(
     const PropertyGraph& g, const CorePattern& pattern,
-    const CorePathEvalOptions& options = {});
+    const CorePathEvalOptions& options);
 
 }  // namespace gqzoo
 

@@ -28,8 +28,8 @@ Result<CoreRelation> EvalPatternEntry(const PropertyGraph& g,
   std::vector<std::string> fv = entry.pattern->FreeVariables();
   if (!entry.path_var.has_value()) {
     Result<std::vector<CorePairRow>> rows =
-        EvalPatternPairs(g, *entry.pattern, options.path_options.cancel,
-                         options.path_options.snapshot);
+        EvalPatternPairs(g, *entry.pattern, *options.path_options.snapshot,
+                         options.path_options.cancel);
     if (!rows.ok()) return rows.error();
     CoreRelation rel(fv);
     for (const CorePairRow& row : rows.value()) {
@@ -104,9 +104,6 @@ Result<CoreRelation> EvalBlock(const PropertyGraph& g,
                                bool* truncated) {
   if (block.patterns.empty()) return Error("MATCH block has no patterns");
   const QueryContext* ctx = options.path_options.cancel;
-  // A planned wcoj group needs the snapshot's label slices; without one
-  // the binary join path silently serves the whole block.
-  if (options.path_options.snapshot == nullptr) wcoj = nullptr;
   std::vector<bool> in_core(block.patterns.size(), false);
   if (wcoj != nullptr) {
     for (size_t i : wcoj->conjuncts) {
@@ -191,6 +188,10 @@ Result<CoreRelation> EvalBlock(const PropertyGraph& g,
 Result<CoreQueryResult> EvalCoreGqlQuery(const PropertyGraph& g,
                                          const CoreGqlQuery& query,
                                          const CoreQueryEvalOptions& options) {
+  if (options.path_options.snapshot == nullptr) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "CoreGQL evaluation needs a graph snapshot");
+  }
   if (query.blocks.empty()) return Error("query has no blocks");
   if (query.ops.size() + 1 != query.blocks.size()) {
     return Error("malformed query: block/operator count mismatch");

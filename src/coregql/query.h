@@ -58,10 +58,10 @@ struct CoreQueryEvalOptions {
   const std::vector<std::vector<size_t>>* block_orders = nullptr;
   /// Per-block worst-case-optimal join groups from the planner (parallel
   /// to blocks; an engaged entry replaces that block's cyclic core of
-  /// single-label edge patterns with one multiway intersection). Honored
-  /// only when `path_options.snapshot` is set — the wcoj runs on label
-  /// slices. Entries are evaluated in textual order regardless (error
-  /// parity); only the join stage changes. Results are identical.
+  /// single-label edge patterns with one multiway intersection over the
+  /// snapshot's label slices). Entries are evaluated in textual order
+  /// regardless (error parity); only the join stage changes. Results are
+  /// identical.
   const std::vector<std::optional<rel::WcojSpec>>* block_wcoj = nullptr;
   /// Route the block join through the columnar batch kernel
   /// (rel/batch.h); byte-identical rows and budget charges.
@@ -88,15 +88,16 @@ Result<CoreGqlQuery> ParseCoreGqlQuery(const std::string& text);
 
 /// Evaluates a query. Pattern matching is exact (pair-level reachability)
 /// unless a block binds a path variable, in which case that pattern is
-/// enumerated under `options.path_options` limits.
+/// enumerated under `options.path_options` limits. Requires
+/// `options.path_options.snapshot` (kInvalidArgument otherwise).
 Result<CoreQueryResult> EvalCoreGqlQuery(const PropertyGraph& g,
                                          const CoreGqlQuery& query,
-                                         const CoreQueryEvalOptions& options = {});
+                                         const CoreQueryEvalOptions& options);
 
 /// Convenience: parse + evaluate.
 Result<CoreQueryResult> RunCoreGql(const PropertyGraph& g,
                                    const std::string& text,
-                                   const CoreQueryEvalOptions& options = {});
+                                   const CoreQueryEvalOptions& options);
 
 }  // namespace gqzoo
 

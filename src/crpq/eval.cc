@@ -19,9 +19,9 @@ using crpq_internal::Relation;
 // Columns: endpoint variables (if not constants), then the atom's list
 // variables. Validation (constants, two-way × list vars) has already run
 // for every atom, so lookups here cannot fail.
-Relation EvalAtom(const EdgeLabeledGraph& g, const CrpqAtom& atom,
-                  const Nfa& nfa, const CrpqEvalOptions& options,
-                  bool* truncated) {
+Relation EvalAtom(const EdgeLabeledGraph& g, const GraphSnapshot& snap,
+                  const CrpqAtom& atom, const Nfa& nfa,
+                  const CrpqEvalOptions& options, bool* truncated) {
   std::vector<std::string> list_vars = atom.regex->CaptureVariables();
 
   auto resolve = [&](const CrpqTerm& t) -> std::optional<NodeId> {
@@ -30,26 +30,21 @@ Relation EvalAtom(const EdgeLabeledGraph& g, const CrpqAtom& atom,
   std::optional<NodeId> from_const = resolve(atom.from);
   std::optional<NodeId> to_const = resolve(atom.to);
 
-  // Endpoint pairs of [[R]]_G, restricted by constants. With a snapshot,
-  // reachability runs over label slices, and the unconstrained case — one
-  // product BFS per source node, the dominant cost of atom seeding — is
-  // sharded across the pool.
+  // Endpoint pairs of [[R]]_G, restricted by constants. The unconstrained
+  // case — one product BFS per source node, the dominant cost of atom
+  // seeding — is sharded across the pool.
   std::vector<std::pair<NodeId, NodeId>> pairs;
   if (from_const.has_value()) {
     NodeId u = *from_const;
-    std::vector<NodeId> reached =
-        options.snapshot != nullptr
-            ? EvalRpqFrom(*options.snapshot, nfa, u, options.cancel)
-            : EvalRpqFrom(g, nfa, u, options.cancel);
-    for (NodeId v : reached) pairs.emplace_back(u, v);
-  } else if (options.snapshot != nullptr) {
+    for (NodeId v : EvalRpqFrom(snap, nfa, u, options.cancel)) {
+      pairs.emplace_back(u, v);
+    }
+  } else {
     ParallelRpqOptions seed;
     seed.pool = options.pool;
     seed.num_shards = options.num_shards;
     seed.cancel = options.cancel;
-    pairs = EvalRpqParallel(*options.snapshot, nfa, seed);
-  } else {
-    pairs = EvalRpq(g, nfa, options.cancel);
+    pairs = EvalRpqParallel(snap, nfa, seed);
   }
   if (to_const.has_value()) {
     NodeId v = *to_const;
@@ -93,10 +88,7 @@ Relation EvalAtom(const EdgeLabeledGraph& g, const CrpqAtom& atom,
     }
     EnumerationStats stats;
     std::vector<PathBinding> bindings =
-        options.snapshot != nullptr
-            ? CollectModePaths(*options.snapshot, nfa, u, v, atom.mode, limits,
-                               &stats)
-            : CollectModePaths(g, nfa, u, v, atom.mode, limits, &stats);
+        CollectModePaths(snap, nfa, u, v, atom.mode, limits, &stats);
     if (stats.truncated) *truncated = true;
     if (stats.cancelled) break;
     // Distinct µ projections (several paths may induce the same µ).
@@ -128,6 +120,11 @@ Relation EvalAtom(const EdgeLabeledGraph& g, const CrpqAtom& atom,
 
 Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
                             const CrpqEvalOptions& options) {
+  if (options.snapshot == nullptr) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "CRPQ evaluation needs a graph snapshot");
+  }
+  const GraphSnapshot& snap = *options.snapshot;
   Result<bool> valid = q.Validate();
   if (!valid.ok()) return valid.error();
   if (q.atoms.empty()) return Error("CRPQ has no atoms");
@@ -165,10 +162,7 @@ Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
   const bool use_order =
       order != nullptr && order->size() == q.atoms.size();
 
-  // A planned wcoj group needs the snapshot's label slices; without one
-  // the binary path silently serves the whole query.
-  const rel::WcojSpec* wcoj =
-      options.snapshot != nullptr ? options.wcoj : nullptr;
+  const rel::WcojSpec* wcoj = options.wcoj;
   std::vector<bool> in_core(q.atoms.size(), false);
   if (wcoj != nullptr) {
     for (size_t i : wcoj->conjuncts) {
@@ -180,8 +174,7 @@ Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
   Relation joined;
   bool first = true;
   if (wcoj != nullptr) {
-    joined = crpq_internal::WcojRelation(*options.snapshot, *wcoj,
-                                         options.cancel);
+    joined = crpq_internal::WcojRelation(snap, *wcoj, options.cancel);
     first = false;
   }
   for (size_t step = 0; step < q.atoms.size(); ++step) {
@@ -192,7 +185,8 @@ Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
       break;
     }
     if (!first && joined.rows.empty()) break;  // conjunction is empty
-    Relation rel = EvalAtom(g, q.atoms[idx], (*nfas)[idx], options, &truncated);
+    Relation rel =
+        EvalAtom(g, snap, q.atoms[idx], (*nfas)[idx], options, &truncated);
     if (first) {
       joined = std::move(rel);
       first = false;

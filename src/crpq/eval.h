@@ -24,14 +24,13 @@ struct CrpqEvalOptions {
   /// Optional cooperative cancellation (deadlines); evaluation returns a
   /// truncated result once the token trips. Not owned.
   const CancellationToken* cancel = nullptr;
-  /// Optional label-partitioned view of the same graph (not owned; must
-  /// outlive the call). When set, atom reachability, product-graph
-  /// construction, and path search all iterate per-label slices instead of
-  /// filtering full adjacency lists. Results are identical.
+  /// Label-partitioned view of the same graph (not owned; must outlive the
+  /// call). Required: atom reachability, product-graph construction and
+  /// path search all iterate its per-label slices. EvalCrpq rejects a
+  /// missing snapshot with kInvalidArgument.
   const GraphSnapshot* snapshot = nullptr;
   /// Optional pool (not owned) for sharding unconstrained atom seeding
-  /// (`R(x, y)` with both endpoints free) by source node. Requires
-  /// `snapshot`; ignored without it.
+  /// (`R(x, y)` with both endpoints free) by source node.
   ThreadPool* pool = nullptr;
   /// Shards for the parallel atom seeding; 0 = pick from pool size.
   size_t num_shards = 0;
@@ -45,10 +44,10 @@ struct CrpqEvalOptions {
   /// either way under set semantics; only intermediate-join sizes differ.
   const std::vector<size_t>* join_order = nullptr;
   /// Planned worst-case-optimal join group for a cyclic core (not owned;
-  /// produced by plan.cc). Honored only when `snapshot` is set: the core
-  /// atoms are answered by one generic join over the per-label CSR slices
-  /// and skipped in the binary join loop. Results are identical; only the
-  /// intermediates differ (no binary blowup on triangles/cliques).
+  /// produced by plan.cc): the core atoms are answered by one generic join
+  /// over the per-label CSR slices and skipped in the binary join loop.
+  /// Results are identical; only the intermediates differ (no binary
+  /// blowup on triangles/cliques).
   const rel::WcojSpec* wcoj = nullptr;
   /// Run joins and head projection through the columnar batch kernel
   /// (rel/batch.h). Byte-identical rows and budget charges — the engine
@@ -65,7 +64,7 @@ struct CrpqEvalOptions {
 /// for every endpoint pair (u, v), the bindings of
 /// `mode(σ_{u,v}([[R]]_G))` — the endpoint-pair grouping of Example 17.
 Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
-                            const CrpqEvalOptions& options = {});
+                            const CrpqEvalOptions& options);
 
 }  // namespace gqzoo
 

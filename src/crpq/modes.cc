@@ -1,73 +1,33 @@
 #include "src/crpq/modes.h"
 
 #include <algorithm>
-#include <unordered_set>
 
 #include "src/pmr/build.h"
 
 namespace gqzoo {
 
-std::vector<PathBinding> ApplyMode(PathMode mode,
-                                   std::vector<PathBinding> bindings) {
-  switch (mode) {
-    case PathMode::kAll:
-      return bindings;
-    case PathMode::kShortest: {
-      size_t best = SIZE_MAX;
-      for (const PathBinding& pb : bindings) {
-        best = std::min(best, pb.path.Length());
-      }
-      std::vector<PathBinding> out;
-      for (PathBinding& pb : bindings) {
-        if (pb.path.Length() == best) out.push_back(std::move(pb));
-      }
-      return out;
-    }
-    case PathMode::kSimple: {
-      std::vector<PathBinding> out;
-      for (PathBinding& pb : bindings) {
-        if (pb.path.IsSimple()) out.push_back(std::move(pb));
-      }
-      return out;
-    }
-    case PathMode::kTrail: {
-      std::vector<PathBinding> out;
-      for (PathBinding& pb : bindings) {
-        if (pb.path.IsTrail()) out.push_back(std::move(pb));
-      }
-      return out;
-    }
-  }
-  return bindings;
-}
-
 namespace {
 
 // Backtracking search for simple paths / trails matching the NFA from u to
 // v. State: (graph node, NFA state), plus the used-node or used-edge set.
-//
-// With a snapshot the successor loop inverts: instead of scanning every
-// out-edge and testing each transition's predicate, each transition
-// iterates exactly its label slice. The path *set* is unchanged; the
-// visit order differs, which only shows once `max_results` truncates (the
-// surviving subset is order-dependent either way). Path search requires
-// one-way automata (like the PMR path), so transitions always step
-// forward.
+// Each transition iterates exactly its label slice; the surviving subset
+// under a `max_results` truncation follows that visit order. Path search
+// requires one-way automata (like the PMR path), so transitions always
+// step forward.
 class RestrictedSearch {
  public:
-  RestrictedSearch(const EdgeLabeledGraph& g, const GraphSnapshot* snapshot,
-                   const Nfa& nfa, NodeId target, PathMode mode,
-                   const EnumerationLimits& limits,
+  RestrictedSearch(const GraphSnapshot& s, const Nfa& nfa, NodeId target,
+                   PathMode mode, const EnumerationLimits& limits,
                    std::vector<PathBinding>* out)
-      : g_(g),
-        snapshot_(snapshot),
+      : g_(s.graph()),
+        snapshot_(s),
         nfa_(nfa),
         target_(target),
         mode_(mode),
         limits_(limits),
         out_(out),
-        used_nodes_(g.NumNodes(), false),
-        used_edges_(g.NumEdges(), false) {}
+        used_nodes_(s.NumNodes(), false),
+        used_edges_(s.NumEdges(), false) {}
 
   EnumerationStats Run(NodeId start) {
     current_.path = Path::OfNode(start);
@@ -105,25 +65,13 @@ class RestrictedSearch {
       stats_.truncated = true;
       return;
     }
-    if (snapshot_ != nullptr) {
-      for (const Nfa::Transition& t : nfa_.Out(state)) {
-        snapshot_->ForEachMatch(node, t.pred, /*inverse=*/false,
-                                [&](const GraphSnapshot::Hop& hop) {
-                                  if (stopped_) return;
-                                  Step(hop.edge, hop.node, t, depth);
-                                });
-        if (stopped_) return;
-      }
-    } else {
-      for (EdgeId e : g_.OutEdges(node)) {
-        LabelId l = g_.EdgeLabel(e);
-        NodeId next = g_.Tgt(e);
-        for (const Nfa::Transition& t : nfa_.Out(state)) {
-          if (!t.pred.Matches(l)) continue;
-          Step(e, next, t, depth);
-          if (stopped_) return;
-        }
-      }
+    for (const Nfa::Transition& t : nfa_.Out(state)) {
+      snapshot_.ForEachMatch(node, t.pred, /*inverse=*/false,
+                             [&](const GraphSnapshot::Hop& hop) {
+                               if (stopped_) return;
+                               Step(hop.edge, hop.node, t, depth);
+                             });
+      if (stopped_) return;
     }
   }
 
@@ -157,7 +105,7 @@ class RestrictedSearch {
   }
 
   const EdgeLabeledGraph& g_;
-  const GraphSnapshot* snapshot_;
+  const GraphSnapshot& snapshot_;
   const Nfa& nfa_;
   NodeId target_;
   PathMode mode_;
@@ -170,22 +118,18 @@ class RestrictedSearch {
   bool stopped_ = false;
 };
 
-// Shared body: `snapshot` may be null (seed adjacency).
-std::vector<PathBinding> CollectModePathsImpl(const EdgeLabeledGraph& g,
-                                              const GraphSnapshot* snapshot,
-                                              const Nfa& nfa, NodeId u,
-                                              NodeId v, PathMode mode,
-                                              const EnumerationLimits& limits,
-                                              EnumerationStats* stats) {
+}  // namespace
+
+std::vector<PathBinding> CollectModePaths(const GraphSnapshot& s,
+                                          const Nfa& nfa, NodeId u, NodeId v,
+                                          PathMode mode,
+                                          const EnumerationLimits& limits,
+                                          EnumerationStats* stats) {
   std::vector<PathBinding> results;
   EnumerationStats local;
-  auto build_pmr = [&] {
-    return snapshot != nullptr ? BuildPmrBetween(*snapshot, nfa, u, v)
-                               : BuildPmrBetween(g, nfa, u, v);
-  };
   switch (mode) {
     case PathMode::kAll: {
-      Pmr pmr = build_pmr();
+      Pmr pmr = BuildPmrBetween(s, nfa, u, v);
       // Charge the succinct representation itself (nodes + edges) for the
       // duration of the enumeration; the emitted bindings are charged by
       // the enumerator.
@@ -199,7 +143,7 @@ std::vector<PathBinding> CollectModePathsImpl(const EdgeLabeledGraph& g,
       break;
     }
     case PathMode::kShortest: {
-      Pmr pmr = build_pmr().ShortestRestriction();
+      Pmr pmr = BuildPmrBetween(s, nfa, u, v).ShortestRestriction();
       ScopedMemoryCharge pmr_bytes(limits.cancel);
       if (!pmr_bytes.Charge(pmr.NumNodes() * 32 + pmr.NumEdges() * 16)) {
         local.cancelled = true;
@@ -211,7 +155,7 @@ std::vector<PathBinding> CollectModePathsImpl(const EdgeLabeledGraph& g,
     }
     case PathMode::kSimple:
     case PathMode::kTrail: {
-      RestrictedSearch search(g, snapshot, nfa, v, mode, limits, &results);
+      RestrictedSearch search(s, nfa, v, mode, limits, &results);
       local = search.Run(u);
       // Skip ordering cancelled (partial, to-be-discarded) results so
       // deadlines stay prompt.
@@ -225,24 +169,6 @@ std::vector<PathBinding> CollectModePathsImpl(const EdgeLabeledGraph& g,
   }
   if (stats != nullptr) *stats = local;
   return results;
-}
-
-}  // namespace
-
-std::vector<PathBinding> CollectModePaths(const EdgeLabeledGraph& g,
-                                          const Nfa& nfa, NodeId u, NodeId v,
-                                          PathMode mode,
-                                          const EnumerationLimits& limits,
-                                          EnumerationStats* stats) {
-  return CollectModePathsImpl(g, nullptr, nfa, u, v, mode, limits, stats);
-}
-
-std::vector<PathBinding> CollectModePaths(const GraphSnapshot& s,
-                                          const Nfa& nfa, NodeId u, NodeId v,
-                                          PathMode mode,
-                                          const EnumerationLimits& limits,
-                                          EnumerationStats* stats) {
-  return CollectModePathsImpl(s.graph(), &s, nfa, u, v, mode, limits, stats);
 }
 
 }  // namespace gqzoo

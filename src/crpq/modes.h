@@ -12,14 +12,6 @@
 
 namespace gqzoo {
 
-/// The mode functions of Section 3.1.5 applied to an explicit set of path
-/// bindings: `shortest` keeps the bindings whose path length is minimal in
-/// the set, `simple` keeps simple paths, `trail` keeps trails, `all` is the
-/// identity. This is the reference (oracle) implementation; the evaluator
-/// uses the PMR- and search-based implementations below.
-std::vector<PathBinding> ApplyMode(PathMode mode,
-                                   std::vector<PathBinding> bindings);
-
 /// Enumerates `mode(σ_{u,v}([[R]]_G))` for the l-RPQ compiled into `nfa`:
 ///  * kAll — DFS over the trimmed per-pair PMR (infinite sets truncate at
 ///    the limits);
@@ -28,19 +20,11 @@ std::vector<PathBinding> ApplyMode(PathMode mode,
 ///  * kSimple / kTrail — backtracking search over graph × NFA carrying the
 ///    set of used nodes/edges (worst-case exponential; the NP-hardness of
 ///    Section 6.3 lives here).
-/// Results are deduplicated (set semantics).
-std::vector<PathBinding> CollectModePaths(const EdgeLabeledGraph& g,
-                                          const Nfa& nfa, NodeId u, NodeId v,
-                                          PathMode mode,
-                                          const EnumerationLimits& limits,
-                                          EnumerationStats* stats = nullptr);
-
-/// Label-sliced variant: the PMR modes build their product graph from the
-/// snapshot's per-label edge lists, and the simple/trail backtracking
-/// search expands each NFA transition over exactly its label slice instead
-/// of filtering the node's full adjacency. Same path sets; a `max_results`
-/// truncation may keep a different (equally arbitrary) subset under
-/// kSimple/kTrail because the search visits successors in slice order.
+/// The PMR modes build their product graph from the snapshot's per-label
+/// edge lists, and the simple/trail search expands each NFA transition
+/// over exactly its label slice. Results are deduplicated (set semantics);
+/// a `max_results` truncation keeps an arbitrary (but deterministic)
+/// subset.
 std::vector<PathBinding> CollectModePaths(const GraphSnapshot& s,
                                           const Nfa& nfa, NodeId u, NodeId v,
                                           PathMode mode,

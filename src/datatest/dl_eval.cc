@@ -43,26 +43,31 @@ struct Config {
 // itself) and the append candidates — restricted to objects transition
 // atom `atom` can possibly match: an atom only matches objects of its
 // target kind (DlAtom::Matches rejects the rest), and an edge-targeting
-// *label* atom only edges satisfying its predicate. With a snapshot the
-// label case iterates exactly its label slice; without one (or for test
-// atoms, whose properties any label may carry) the full adjacency list is
-// scanned. The match set is identical either way.
+// *label* atom only edges satisfying its predicate: the label case iterates
+// exactly its label slice, while a test atom (whose properties any label
+// may carry) scans the node's adjacency list in edge-id order.
 template <typename Fn>
-void ForEachSuccessor(const PropertyGraph& g, const GraphSnapshot* snap,
+void ForEachOutEdge(const PropertyGraph& g, const GraphSnapshot& snap,
+                    const DlAtom& atom, NodeId v, Fn fn) {
+  if (atom.is_test) {
+    for (EdgeId e : g.OutEdges(v)) {
+      fn(ObjectRef::Edge(e), /*edge_append=*/true);
+    }
+    return;
+  }
+  snap.ForEachMatch(v, atom.pred, /*inverse=*/false,
+                    [&](const GraphSnapshot::Hop& hop) {
+                      fn(ObjectRef::Edge(hop.edge), /*edge_append=*/true);
+                    });
+}
+
+template <typename Fn>
+void ForEachSuccessor(const PropertyGraph& g, const GraphSnapshot& snap,
                       const DlAtom& atom, ObjectRef last, Fn fn) {
   fn(last, /*edge_append=*/false);  // collapse: p · path(o) = p
   if (last.is_node()) {
     if (atom.target != Atom::Target::kEdge) return;
-    if (snap != nullptr && !atom.is_test) {
-      snap->ForEachMatch(last.id, atom.pred, /*inverse=*/false,
-                         [&](const GraphSnapshot::Hop& hop) {
-                           fn(ObjectRef::Edge(hop.edge), /*edge_append=*/true);
-                         });
-    } else {
-      for (EdgeId e : g.OutEdges(last.id)) {
-        fn(ObjectRef::Edge(e), /*edge_append=*/true);
-      }
-    }
+    ForEachOutEdge(g, snap, atom, last.id, fn);
   } else {
     if (atom.target != Atom::Target::kNode) return;
     fn(ObjectRef::Node(g.Tgt(last.id)), /*edge_append=*/false);
@@ -73,22 +78,13 @@ void ForEachSuccessor(const PropertyGraph& g, const GraphSnapshot* snap,
 // src = u — the node u itself or an out-edge of u — restricted like
 // ForEachSuccessor by the transition atom taken first.
 template <typename Fn>
-void ForEachStart(const PropertyGraph& g, const GraphSnapshot* snap,
+void ForEachStart(const PropertyGraph& g, const GraphSnapshot& snap,
                   const DlAtom& atom, NodeId u, Fn fn) {
   if (atom.target == Atom::Target::kNode) {
     fn(ObjectRef::Node(u), /*edge_append=*/false);
     return;
   }
-  if (snap != nullptr && !atom.is_test) {
-    snap->ForEachMatch(u, atom.pred, /*inverse=*/false,
-                       [&](const GraphSnapshot::Hop& hop) {
-                         fn(ObjectRef::Edge(hop.edge), /*edge_append=*/true);
-                       });
-  } else {
-    for (EdgeId e : g.OutEdges(u)) {
-      fn(ObjectRef::Edge(e), /*edge_append=*/true);
-    }
-  }
+  ForEachOutEdge(g, snap, atom, u, fn);
 }
 
 NodeId TgtOf(const PropertyGraph& g, ObjectRef o) {
@@ -100,7 +96,7 @@ NodeId TgtOf(const PropertyGraph& g, ObjectRef o) {
 // `shortest`).
 class DlDfs {
  public:
-  DlDfs(const PropertyGraph& g, const GraphSnapshot* snap, const DlNfa& nfa,
+  DlDfs(const PropertyGraph& g, const GraphSnapshot& snap, const DlNfa& nfa,
         NodeId target, PathMode mode, const EnumerationLimits& limits,
         size_t exact_length, std::vector<PathBinding>* out)
       : g_(g),
@@ -248,7 +244,7 @@ class DlDfs {
   }
 
   const PropertyGraph& g_;
-  const GraphSnapshot* snap_;
+  const GraphSnapshot& snap_;
   const DlNfa& nfa_;
   NodeId target_;
   PathMode mode_;
@@ -298,9 +294,9 @@ std::vector<NodeId> DlEvaluator::ReachableFrom(
   };
 
   // Transition-major expansion: each transition enumerates only the
-  // candidates its atom can match (its label slice, given a snapshot).
+  // candidates its atom can match (its label slice for label atoms).
   for (const DlNfa::Transition& t : nfa_->Out(nfa_->initial())) {
-    ForEachStart(*g_, snapshot_, t.atom, u,
+    ForEachStart(*g_, *snapshot_, t.atom, u,
                  [&](ObjectRef o, bool) { try_push(t, o, nu0); });
   }
   while (!queue.empty() && !out_of_budget) {
@@ -309,7 +305,7 @@ std::vector<NodeId> DlEvaluator::ReachableFrom(
     queue.pop_front();
     if (nfa_->accepting(c.state)) reached.insert(TgtOf(*g_, c.obj));
     for (const DlNfa::Transition& t : nfa_->Out(c.state)) {
-      ForEachSuccessor(*g_, snapshot_, t.atom, c.obj,
+      ForEachSuccessor(*g_, *snapshot_, t.atom, c.obj,
                        [&](ObjectRef o, bool) { try_push(t, o, c.nu); });
     }
   }
@@ -362,9 +358,10 @@ size_t DlEvaluator::ShortestLength(NodeId u, NodeId v,
   };
 
   for (const DlNfa::Transition& t : nfa_->Out(nfa_->initial())) {
-    ForEachStart(*g_, snapshot_, t.atom, u, [&](ObjectRef o, bool edge_append) {
-      expand(t, o, nu0, 0, edge_append);
-    });
+    ForEachStart(*g_, *snapshot_, t.atom, u,
+                 [&](ObjectRef o, bool edge_append) {
+                   expand(t, o, nu0, 0, edge_append);
+                 });
   }
   size_t best = SIZE_MAX;
   while (!queue.empty() && !out_of_budget) {
@@ -378,7 +375,7 @@ size_t DlEvaluator::ShortestLength(NodeId u, NodeId v,
       continue;
     }
     for (const DlNfa::Transition& t : nfa_->Out(c.state)) {
-      ForEachSuccessor(*g_, snapshot_, t.atom, c.obj,
+      ForEachSuccessor(*g_, *snapshot_, t.atom, c.obj,
                        [&](ObjectRef o, bool edge_append) {
                          bool is_edge_append = edge_append && !(o == c.obj);
                          expand(t, o, c.nu, d, is_edge_append);
@@ -398,12 +395,12 @@ std::vector<PathBinding> DlEvaluator::CollectModePaths(
     if (best != SIZE_MAX) {
       EnumerationLimits bounded = limits;
       bounded.max_length = std::min(bounded.max_length, best);
-      DlDfs dfs(*g_, snapshot_, *nfa_, v, PathMode::kAll, bounded, best,
+      DlDfs dfs(*g_, *snapshot_, *nfa_, v, PathMode::kAll, bounded, best,
                 &results);
       local = dfs.Run(u);
     }
   } else {
-    DlDfs dfs(*g_, snapshot_, *nfa_, v, mode, limits, SIZE_MAX, &results);
+    DlDfs dfs(*g_, *snapshot_, *nfa_, v, mode, limits, SIZE_MAX, &results);
     local = dfs.Run(u);
   }
   // Skip ordering cancelled (partial, to-be-discarded) results so
@@ -418,6 +415,10 @@ std::vector<PathBinding> DlEvaluator::CollectModePaths(
 
 Result<CrpqResult> EvalDlCrpq(const PropertyGraph& g, const Crpq& q,
                               const DlCrpqEvalOptions& options) {
+  if (options.snapshot == nullptr) {
+    return Error(ErrorCode::kInvalidArgument,
+                 "dl-CRPQ evaluation needs a graph snapshot");
+  }
   using crpq_internal::Dedupe;
   using crpq_internal::NaturalJoin;
   using crpq_internal::ProjectHead;
@@ -451,10 +452,7 @@ Result<CrpqResult> EvalDlCrpq(const PropertyGraph& g, const Crpq& q,
   const bool use_order =
       order != nullptr && order->size() == q.atoms.size();
 
-  // A planned wcoj group needs the snapshot's label slices; without one
-  // the binary path silently serves the whole query.
-  const rel::WcojSpec* wcoj =
-      options.snapshot != nullptr ? options.wcoj : nullptr;
+  const rel::WcojSpec* wcoj = options.wcoj;
   std::vector<bool> in_core(q.atoms.size(), false);
   if (wcoj != nullptr) {
     for (size_t i : wcoj->conjuncts) {

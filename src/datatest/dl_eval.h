@@ -29,13 +29,12 @@ namespace gqzoo {
 /// complexity of [Libkin, Martens, Vrgoč 2016].
 class DlEvaluator {
  public:
-  /// `snapshot` (optional, not owned, must be over the same graph) routes
+  /// `snapshot` (not owned, non-null, over the same graph) routes
   /// configuration expansion through per-label adjacency slices: an
   /// edge-targeting label atom enumerates only the out-edges its predicate
-  /// matches instead of the node's full adjacency list. Result sets are
-  /// unchanged.
+  /// matches instead of the node's full adjacency list.
   DlEvaluator(const PropertyGraph& g, const DlNfa& nfa,
-              const GraphSnapshot* snapshot = nullptr)
+              const GraphSnapshot* snapshot)
       : g_(&g), nfa_(&nfa), snapshot_(snapshot) {}
 
   /// All nodes `v` such that some non-empty-endpoint path from `u` to `v`
@@ -74,8 +73,9 @@ struct DlCrpqEvalOptions {
   size_t max_path_length = 1000;
   /// Optional cooperative cancellation (deadlines). Not owned.
   const CancellationToken* cancel = nullptr;
-  /// Optional label-partitioned view of the same graph (not owned); see
-  /// DlEvaluator.
+  /// Label-partitioned view of the same graph (not owned); see
+  /// DlEvaluator. Required: EvalDlCrpq rejects a missing snapshot with
+  /// kInvalidArgument.
   const GraphSnapshot* snapshot = nullptr;
   /// Precompiled per-atom automata, parallel to the query's atoms (not
   /// owned). Null = compile per call; see CrpqEvalOptions::atom_nfas.
@@ -84,8 +84,7 @@ struct DlCrpqEvalOptions {
   /// textual order. Result sets are identical either way.
   const std::vector<size_t>* join_order = nullptr;
   /// Planned worst-case-optimal join group for a cyclic core of
-  /// single-label atoms; see CrpqEvalOptions::wcoj. Honored only when
-  /// `snapshot` is set.
+  /// single-label atoms; see CrpqEvalOptions::wcoj.
   const rel::WcojSpec* wcoj = nullptr;
   /// Route joins/projection through the columnar batch kernel; see
   /// CrpqEvalOptions::use_batch.
@@ -93,7 +92,7 @@ struct DlCrpqEvalOptions {
 };
 
 Result<CrpqResult> EvalDlCrpq(const PropertyGraph& g, const Crpq& q,
-                              const DlCrpqEvalOptions& options = {});
+                              const DlCrpqEvalOptions& options);
 
 }  // namespace gqzoo
 

@@ -857,8 +857,9 @@ Result<QueryResponse> QueryEngine::ExecutePlan(
     if (request.max_results) options.max_bindings_per_pair = *request.max_results;
     if (request.max_path_length) options.max_path_length = *request.max_path_length;
     options.cancel = cancel;
-    // No snapshot: regular queries evaluate against a mutable working copy
-    // of the graph (rules add edges), which no cached CSR describes.
+    // Regular queries evaluate against a mutable working copy of the graph
+    // (rules add edges), which no cached CSR describes; EvalRegularQuery
+    // snapshots the working copy itself.
     Result<CrpqResult> r = EvalRegularQuery(g.skeleton(), regular->query, options);
     if (!r.ok()) return r.error();
     out << r.value().ToString(g.skeleton());

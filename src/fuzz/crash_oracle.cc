@@ -10,7 +10,7 @@
 #include "src/graph/delta/merge.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_io.h"
-#include "src/storage/checkpoint.h"
+#include "src/storage/snapshot_format.h"
 #include "src/storage/wal.h"
 #include "src/util/result.h"
 
@@ -203,8 +203,9 @@ void RunCrashOracle(const FuzzCase& c, OracleReport* report) {
     // The codec contract is an exact roundtrip of the graph it encoded.
     const std::string expected = PropertyGraphToText(final_graph.value());
     const std::string encoded =
-        storage::EncodeCheckpoint(final_graph.value(), n);
-    Result<storage::CheckpointData> decoded = storage::DecodeCheckpoint(encoded);
+        storage::SnapshotCodec::EncodeSnapshot(final_graph.value(), n);
+    Result<storage::SnapshotCodec::DecodedSnapshot> decoded =
+        storage::SnapshotCodec::DecodeToPlain(encoded);
     ++report->checks;
     if (!decoded.ok()) {
       report->Add("crash.checkpoint-roundtrip",
@@ -218,15 +219,17 @@ void RunCrashOracle(const FuzzCase& c, OracleReport* report) {
     }
     std::string damaged = encoded;
     damaged[encoded.size() / 2] ^= 0xFF;
-    Result<storage::CheckpointData> corrupt = storage::DecodeCheckpoint(damaged);
+    Result<storage::SnapshotCodec::DecodedSnapshot> corrupt =
+        storage::SnapshotCodec::DecodeToPlain(damaged);
     ++report->checks;
     if (corrupt.ok() || corrupt.error().code() != ErrorCode::kDataLoss) {
       report->Add("crash.checkpoint-roundtrip",
                   "flipped checkpoint byte was not kDataLoss");
       return;
     }
-    Result<storage::CheckpointData> truncated = storage::DecodeCheckpoint(
-        std::string_view(encoded).substr(0, encoded.size() - 1));
+    Result<storage::SnapshotCodec::DecodedSnapshot> truncated =
+        storage::SnapshotCodec::DecodeToPlain(
+            std::string_view(encoded).substr(0, encoded.size() - 1));
     ++report->checks;
     if (truncated.ok() || truncated.error().code() != ErrorCode::kDataLoss) {
       report->Add("crash.checkpoint-roundtrip",

@@ -13,8 +13,8 @@ namespace fuzz {
 namespace {
 
 /// Languages the harness generates. kRegular is deliberately absent: it
-/// mutates a working copy of the graph and has no second substrate to
-/// differentiate against (see DESIGN.md).
+/// mutates a working copy of the graph, its worst cases are exponential,
+/// and no reference leg checks it (see DESIGN.md).
 constexpr QueryLanguage kFuzzedLanguages[] = {
     QueryLanguage::kRpq,     QueryLanguage::kCrpq,
     QueryLanguage::kDlCrpq,  QueryLanguage::kCoreGql,
@@ -37,6 +37,10 @@ std::string FuzzStats::ToString() const {
     if (by_language[i] == 0) continue;
     out << " " << QueryLanguageName(static_cast<QueryLanguage>(i)) << "="
         << by_language[i];
+  }
+  if (!reference_checks.empty()) {
+    out << "; reference checks:";
+    for (const auto& [leg, n] : reference_checks) out << " " << leg << "=" << n;
   }
   return out.str();
 }
@@ -117,6 +121,9 @@ FuzzRunResult RunFuzzer(const FuzzerOptions& options, std::ostream* log) {
       RunMetamorphic(c, &meta_rng, options.oracle, &report);
     }
     result.stats.checks += report.checks;
+    for (const auto& [leg, n] : report.reference_checks) {
+      result.stats.reference_checks[leg] += n;
+    }
 
     if (!report.ok()) {
       ++result.stats.divergent_cases;

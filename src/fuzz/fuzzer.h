@@ -2,6 +2,7 @@
 #define GQZOO_FUZZ_FUZZER_H_
 
 #include <cstdint>
+#include <map>
 #include <optional>
 #include <ostream>
 #include <string>
@@ -62,6 +63,8 @@ struct FuzzStats {
   size_t cases_run = 0;
   size_t queries_parsed = 0;  // generator validity rate numerator
   size_t checks = 0;          // oracle leg comparisons executed
+  /// Comparisons per definitional-reference leg ("rpq.reference", ...).
+  std::map<std::string, size_t> reference_checks;
   size_t divergent_cases = 0;
   std::vector<size_t> by_language;  // indexed by QueryLanguage
 

@@ -54,13 +54,14 @@ Result<CanonicalResult> EvalCanonical(const PropertyGraph& g,
                                       const FuzzCase& c,
                                       const OracleOptions& options) {
   CanonicalResult canon;
+  const GraphSnapshot snapshot(g);
   switch (c.language) {
     case QueryLanguage::kRpq: {
       Result<RegexPtr> regex =
           ParseRegex(c.query_text, RegexDialect::kPlain);
       if (!regex.ok()) return regex.error();
       Nfa nfa = Nfa::FromRegex(*regex.value(), g.skeleton());
-      for (const auto& [u, v] : EvalRpq(g.skeleton(), nfa)) {
+      for (const auto& [u, v] : EvalRpq(snapshot, nfa)) {
         canon.rows.push_back("(" + std::string(g.NodeName(u)) + ", " +
                              std::string(g.NodeName(v)) + ")");
       }
@@ -77,11 +78,13 @@ Result<CanonicalResult> EvalCanonical(const PropertyGraph& g,
         DlCrpqEvalOptions eval_options;
         eval_options.max_bindings_per_pair = options.max_bindings_per_pair;
         eval_options.max_path_length = options.max_path_length;
+        eval_options.snapshot = &snapshot;
         r = EvalDlCrpq(g, q.value(), eval_options);
       } else {
         CrpqEvalOptions eval_options;
         eval_options.max_bindings_per_pair = options.max_bindings_per_pair;
         eval_options.max_path_length = options.max_path_length;
+        eval_options.snapshot = &snapshot;
         r = EvalCrpq(g.skeleton(), q.value(), eval_options);
       }
       if (!r.ok()) return r.error();
@@ -91,6 +94,7 @@ Result<CanonicalResult> EvalCanonical(const PropertyGraph& g,
       CoreQueryEvalOptions eval_options;
       eval_options.path_options.max_results = options.max_results;
       eval_options.path_options.max_path_length = options.max_path_length;
+      eval_options.path_options.snapshot = &snapshot;
       Result<CoreQueryResult> r = RunCoreGql(g, c.query_text, eval_options);
       if (!r.ok()) return r.error();
       canon.truncated = r.value().truncated;
@@ -110,6 +114,7 @@ Result<CanonicalResult> EvalCanonical(const PropertyGraph& g,
       CorePathEvalOptions eval_options;
       eval_options.max_results = options.max_results;
       eval_options.max_path_length = options.max_path_length;
+      eval_options.snapshot = &snapshot;
       Result<GqlEvalResult> r =
           EvalGqlGroupPattern(g, *pattern.value(), eval_options);
       if (!r.ok()) return r.error();
@@ -138,8 +143,8 @@ Result<CanonicalResult> EvalCanonical(const PropertyGraph& g,
       std::vector<PathBinding> paths;
       if (dl.ok()) {
         DlNfa nfa = DlNfa::FromRegex(*dl.value(), g);
-        paths = DlEvaluator(g, nfa).CollectModePaths(*u, *v, c.paths_mode,
-                                                     limits, &stats);
+        paths = DlEvaluator(g, nfa, &snapshot)
+                    .CollectModePaths(*u, *v, c.paths_mode, limits, &stats);
       } else {
         Result<RegexPtr> plain =
             ParseRegex(c.query_text, RegexDialect::kPlain);
@@ -149,8 +154,8 @@ Result<CanonicalResult> EvalCanonical(const PropertyGraph& g,
           return Error(ErrorCode::kInvalidArgument,
                        "path enumeration requires a one-way regex");
         }
-        paths = CollectModePaths(g.skeleton(), nfa, *u, *v, c.paths_mode,
-                                 limits, &stats);
+        paths = CollectModePaths(snapshot, nfa, *u, *v, c.paths_mode, limits,
+                                 &stats);
       }
       canon.truncated = stats.truncated;
       for (const PathBinding& pb : paths) {
@@ -319,16 +324,19 @@ class MetamorphicRun {
       std::swap(shuffled.atoms[i - 1], shuffled.atoms[rng_->Index(i)]);
     }
 
+    const GraphSnapshot snapshot(g_);
     auto eval = [&](const Crpq& query) -> Result<CrpqResult> {
       if (dl) {
         DlCrpqEvalOptions eval_options;
         eval_options.max_bindings_per_pair = options_.max_bindings_per_pair;
         eval_options.max_path_length = options_.max_path_length;
+        eval_options.snapshot = &snapshot;
         return EvalDlCrpq(g_, query, eval_options);
       }
       CrpqEvalOptions eval_options;
       eval_options.max_bindings_per_pair = options_.max_bindings_per_pair;
       eval_options.max_path_length = options_.max_path_length;
+      eval_options.snapshot = &snapshot;
       return EvalCrpq(g_.skeleton(), query, eval_options);
     };
 

@@ -13,11 +13,11 @@
 #include "src/crpq/eval.h"
 #include "src/crpq/modes.h"
 #include "src/datatest/dl_eval.h"
+#include "src/fuzz/reference.h"
 #include "src/graph/csr.h"
 #include "src/graph/graph_io.h"
 #include "src/regex/parser.h"
 #include "src/rpq/bag_semantics.h"
-#include "src/rpq/cardinality.h"
 #include "src/rpq/rpq_eval.h"
 #include "src/storage/snapshot_format.h"
 #include "src/util/failpoint.h"
@@ -105,8 +105,8 @@ class OracleRun {
       case QueryLanguage::kGqlGroup: expected = CheckGqlGroup(); break;
       case QueryLanguage::kPaths: expected = CheckPaths(); break;
       case QueryLanguage::kRegular:
-        // No second substrate to compare against (regular queries mutate a
-        // working copy of the graph); the harness does not generate these.
+        // Regular queries mutate a working copy of the graph; the harness
+        // does not generate these.
         return;
     }
     CheckEngine(expected);
@@ -119,10 +119,25 @@ class OracleRun {
     return agree;
   }
 
+  /// A comparison against the definitional reference, which reports
+  /// nullopt when it ran out of its work budget (counted, not compared).
+  /// `agree(ref)` decides; `describe(ref)` explains a disagreement.
+  template <typename T, typename Agree, typename Describe>
+  void CheckReference(const std::string& check, const std::optional<T>& ref,
+                      Agree agree, Describe describe) {
+    if (!ref.has_value()) {
+      ++report_->reference_checks[check + ".inconclusive"];
+      return;
+    }
+    ++report_->reference_checks[check];
+    const bool ok = agree(*ref);
+    Check(ok, check, ok ? std::string() : describe(*ref));
+  }
+
   /// Serialize -> mmap -> query: round-trip the case graph through the
   /// on-disk snapshot format and reconstitute an epoch served by mapped
   /// accessors. Any encode/open failure or render difference is a
-  /// divergence; on success every language check gains a graph-vs-mapped
+  /// divergence; on success every language check gains a snapshot-vs-mapped
   /// leg evaluated over the mapped graph + mapped CSR snapshot.
   void CheckMappedEpoch() {
     Result<storage::SnapshotFile> file = storage::SnapshotFile::FromBytes(
@@ -153,15 +168,18 @@ class OracleRun {
     const Regex& regex = *parsed.value();
     Nfa nfa = Nfa::FromRegex(regex, g_.skeleton());
 
-    const auto base = EvalRpq(g_.skeleton(), nfa);
-    const auto from_snapshot = EvalRpq(snap_, nfa);
-    Check(base == from_snapshot, "rpq.graph-vs-snapshot",
-          "graph: " + PairsBrief(g_.skeleton(), base) +
-              " | snapshot: " + PairsBrief(g_.skeleton(), from_snapshot));
+    const auto base = EvalRpq(snap_, nfa);
+    CheckReference<std::vector<std::pair<NodeId, NodeId>>>(
+        "rpq.reference", ReferenceRpq(g_.skeleton(), regex),
+        [&](const auto& ref) { return base == ref; },
+        [&](const auto& ref) {
+          return "snapshot: " + PairsBrief(g_.skeleton(), base) +
+                 " | reference: " + PairsBrief(g_.skeleton(), ref);
+        });
     if (have_mapped_) {
       const auto from_mapped = EvalRpq(*mapped_.snapshot, nfa);
-      Check(base == from_mapped, "rpq.graph-vs-mapped",
-            "graph: " + PairsBrief(g_.skeleton(), base) +
+      Check(base == from_mapped, "rpq.snapshot-vs-mapped",
+            "snapshot: " + PairsBrief(g_.skeleton(), base) +
                 " | mapped: " + PairsBrief(g_.skeleton(), from_mapped));
     }
 
@@ -173,39 +191,21 @@ class OracleRun {
           "serial: " + PairsBrief(g_.skeleton(), base) +
               " | sharded: " + PairsBrief(g_.skeleton(), sharded));
 
-    Check(base == EvalRpq(g_.skeleton(), nfa), "rpq.rerun-determinism",
+    Check(base == EvalRpq(snap_, nfa), "rpq.rerun-determinism",
           "two ungoverned runs returned different relations");
-
-    CheckStatistics();
-
-    const double est_graph =
-        EstimateRpqCardinalitySampling(g_.skeleton(), nfa, 4, c_.seed);
-    const double est_snap =
-        EstimateRpqCardinalitySampling(snap_, nfa, 4, c_.seed);
-    Check(est_graph == est_snap, "rpq.sampling-graph-vs-snapshot",
-          "graph est " + std::to_string(est_graph) + " vs snapshot est " +
-              std::to_string(est_snap));
 
     if (options_.bag_checks && g_.NumNodes() <= 8 && BagSafe(regex)) {
       for (NodeId u = 0; u < g_.NumNodes(); ++u) {
         for (NodeId v = 0; v < g_.NumNodes(); ++v) {
-          const BigUint count_graph = BagCount(regex, g_.skeleton(), u, v);
-          const BigUint count_snap = BagCount(regex, snap_, u, v);
-          if (!Check(count_graph == count_snap, "bag.graph-vs-snapshot",
-                     "(" + std::string(g_.NodeName(u)) + "," +
-                         std::string(g_.NodeName(v)) + "): graph " + count_graph.ToString() +
-                         " vs snapshot " + count_snap.ToString())) {
-            return std::nullopt;  // one report per case is enough
-          }
+          const BigUint count = BagCount(regex, snap_, u, v);
           const bool in_set = std::binary_search(
               base.begin(), base.end(), std::make_pair(u, v));
-          if (!Check(!count_graph.is_zero() == in_set,
-                     "bag.positivity-vs-set",
+          if (!Check(!count.is_zero() == in_set, "bag.positivity-vs-set",
                      "(" + std::string(g_.NodeName(u)) + "," +
-                         std::string(g_.NodeName(v)) + "): bag count " + count_graph.ToString() +
-                         " but set membership " +
+                         std::string(g_.NodeName(v)) + "): bag count " +
+                         count.ToString() + " but set membership " +
                          (in_set ? "true" : "false"))) {
-            return std::nullopt;
+            return std::nullopt;  // one report per case is enough
           }
         }
       }
@@ -215,8 +215,8 @@ class OracleRun {
       QueryContext ctx1, ctx2;
       ctx1.set_budgets(CaseBudgets(c_));
       ctx2.set_budgets(CaseBudgets(c_));
-      const auto run1 = EvalRpq(g_.skeleton(), nfa, &ctx1);
-      const auto run2 = EvalRpq(g_.skeleton(), nfa, &ctx2);
+      const auto run1 = EvalRpq(snap_, nfa, &ctx1);
+      const auto run2 = EvalRpq(snap_, nfa, &ctx2);
       Check(run1 == run2 && ctx1.stop_cause() == ctx2.stop_cause(),
             "rpq.governed-determinism",
             std::string("same budget, different outcome: ") +
@@ -228,33 +228,14 @@ class OracleRun {
     return std::nullopt;
   }
 
-  void CheckStatistics() {
-    const GraphStatistics stats_graph(g_.skeleton());
-    const GraphStatistics stats_snap(snap_);
-    for (LabelId l = 0; l < g_.skeleton().NumLabels(); ++l) {
-      const bool agree =
-          stats_graph.EdgeCount(l) == stats_snap.EdgeCount(l) &&
-          stats_graph.DistinctSources(l) == stats_snap.DistinctSources(l) &&
-          stats_graph.DistinctTargets(l) == stats_snap.DistinctTargets(l);
-      Check(agree, "stats.graph-vs-snapshot",
-            "label '" + g_.skeleton().LabelName(l) + "': (" +
-                std::to_string(stats_graph.EdgeCount(l)) + "," +
-                std::to_string(stats_graph.DistinctSources(l)) + "," +
-                std::to_string(stats_graph.DistinctTargets(l)) + ") vs (" +
-                std::to_string(stats_snap.EdgeCount(l)) + "," +
-                std::to_string(stats_snap.DistinctSources(l)) + "," +
-                std::to_string(stats_snap.DistinctTargets(l)) + ")");
-    }
-  }
-
-  /// Shared shape for the three conjunctive languages: compare a base run
-  /// against variants, all through CrpqResult.
-  ExpectedStatus CompareCrpqRuns(
-      const char* prefix, const Result<CrpqResult>& base,
-      const std::vector<std::pair<const char*, Result<CrpqResult>>>&
-          variants) {
+  /// Compares a base run against variants: the same error code, or the
+  /// same rendering (which covers truncation too).
+  template <typename T>
+  ExpectedStatus CompareRuns(
+      const std::string& prefix, const Result<T>& base,
+      const std::vector<std::pair<const char*, Result<T>>>& variants) {
     for (const auto& [name, variant] : variants) {
-      const std::string check = std::string(prefix) + "." + name;
+      const std::string check = prefix + "." + name;
       if (base.ok() != variant.ok()) {
         Check(false, check,
               base.ok()
@@ -262,26 +243,40 @@ class OracleRun {
                         variant.error().message()
                   : "base failed but variant succeeded: " +
                         base.error().message());
-        continue;
-      }
-      if (!base.ok()) {
+      } else if (!base.ok()) {
         Check(base.error().code() == variant.error().code(), check,
               std::string("error codes differ: ") +
                   ErrorCodeName(base.error().code()) + " vs " +
                   ErrorCodeName(variant.error().code()));
-        continue;
+      } else {
+        const std::string a = Render(base.value());
+        const std::string b = Render(variant.value());
+        Check(a == b, check, "base:\n" + a + "variant:\n" + b);
       }
-      Check(base.value().ToString(g_.skeleton()) ==
-                    variant.value().ToString(g_.skeleton()) &&
-                base.value().truncated == variant.value().truncated,
-            check,
-            "base:\n" + base.value().ToString(g_.skeleton()) +
-                (base.value().truncated ? "(truncated)\n" : "") +
-                "variant:\n" + variant.value().ToString(g_.skeleton()) +
-                (variant.value().truncated ? "(truncated)\n" : ""));
     }
     if (!base.ok()) return base.error().code();
     return std::nullopt;
+  }
+
+  std::string Render(const CrpqResult& r) const {
+    return r.ToString(g_.skeleton()) + (r.truncated ? "(truncated)\n" : "");
+  }
+
+  std::string Render(const CoreQueryResult& r) const {
+    return r.relation.ToString(g_.skeleton()) +
+           (r.truncated ? "(truncated)\n" : "");
+  }
+
+  std::string Render(const GqlEvalResult& r) const {
+    std::string out;
+    for (const GqlPathRow& row : r.rows) {
+      out += row.path.ToString(g_.skeleton());
+      for (const auto& [var, value] : row.mu) {
+        out += " | " + var + " -> " + value.ToString(g_.skeleton());
+      }
+      out += "\n";
+    }
+    return out + (r.truncated ? "(truncated)\n" : "");
   }
 
   ExpectedStatus CheckCrpq() {
@@ -292,17 +287,14 @@ class OracleRun {
     CrpqEvalOptions base_options;
     base_options.max_bindings_per_pair = options_.max_bindings_per_pair;
     base_options.max_path_length = options_.max_path_length;
+    base_options.snapshot = &snap_;
     Result<CrpqResult> base = EvalCrpq(g_.skeleton(), q.value(), base_options);
 
-    CrpqEvalOptions snap_options = base_options;
-    snap_options.snapshot = &snap_;
-    CrpqEvalOptions sharded_options = snap_options;
+    CrpqEvalOptions sharded_options = base_options;
     sharded_options.pool = options_.pool;
     sharded_options.num_shards = options_.rpq_shards;
 
     std::vector<std::pair<const char*, Result<CrpqResult>>> variants;
-    variants.emplace_back("graph-vs-snapshot",
-                          EvalCrpq(g_.skeleton(), q.value(), snap_options));
     variants.emplace_back("serial-vs-sharded",
                           EvalCrpq(g_.skeleton(), q.value(), sharded_options));
     variants.emplace_back("rerun-determinism",
@@ -315,10 +307,33 @@ class OracleRun {
       CrpqEvalOptions mapped_options = base_options;
       mapped_options.snapshot = mapped_.snapshot.get();
       variants.emplace_back(
-          "graph-vs-mapped",
+          "snapshot-vs-mapped",
           EvalCrpq(mapped_.graph->skeleton(), q.value(), mapped_options));
     }
-    ExpectedStatus expected = CompareCrpqRuns("crpq", base, variants);
+    ExpectedStatus expected = CompareRuns("crpq", base, variants);
+
+    if (base.ok()) {
+      CheckReference<std::vector<std::vector<CrpqValue>>>(
+          "crpq.reference",
+          ReferenceCrpq(g_.skeleton(), q.value(), options_.max_path_length),
+          [&](const auto& ref) {
+            std::vector<std::vector<CrpqValue>> rows = base.value().rows;
+            std::sort(rows.begin(), rows.end());
+            // A truncated evaluation keeps some of the answers over paths
+            // of at most max_path_length edges; it must never invent one.
+            return base.value().truncated
+                       ? std::includes(ref.begin(), ref.end(), rows.begin(),
+                                       rows.end())
+                       : rows == ref;
+          },
+          [&](const auto& ref) {
+            const CrpqResult reference{base.value().head, ref, false};
+            return "evaluator" +
+                   std::string(base.value().truncated ? " (truncated)" : "") +
+                   ":\n" + base.value().ToString(g_.skeleton()) +
+                   "reference:\n" + reference.ToString(g_.skeleton());
+          });
+    }
 
     if (base.ok() && (c_.step_budget != 0 || c_.memory_budget != 0)) {
       QueryContext ctx1, ctx2;
@@ -329,8 +344,8 @@ class OracleRun {
       Result<CrpqResult> run1 = EvalCrpq(g_.skeleton(), q.value(), governed);
       governed.cancel = &ctx2;
       Result<CrpqResult> run2 = EvalCrpq(g_.skeleton(), q.value(), governed);
-      CompareCrpqRuns("crpq.governed-determinism", run1,
-                      {{"rerun", std::move(run2)}});
+      CompareRuns<CrpqResult>("crpq.governed-determinism", run1,
+                              {{"rerun", std::move(run2)}});
       Check(ctx1.stop_cause() == ctx2.stop_cause(),
             "crpq.governed-determinism.cause",
             std::string(StopCauseName(ctx1.stop_cause())) + " vs " +
@@ -347,14 +362,10 @@ class OracleRun {
     DlCrpqEvalOptions base_options;
     base_options.max_bindings_per_pair = options_.max_bindings_per_pair;
     base_options.max_path_length = options_.max_path_length;
+    base_options.snapshot = &snap_;
     Result<CrpqResult> base = EvalDlCrpq(g_, q.value(), base_options);
 
-    DlCrpqEvalOptions snap_options = base_options;
-    snap_options.snapshot = &snap_;
-
     std::vector<std::pair<const char*, Result<CrpqResult>>> variants;
-    variants.emplace_back("graph-vs-snapshot",
-                          EvalDlCrpq(g_, q.value(), snap_options));
     variants.emplace_back("rerun-determinism",
                           EvalDlCrpq(g_, q.value(), base_options));
     DlCrpqEvalOptions batch_options = base_options;
@@ -365,10 +376,10 @@ class OracleRun {
       DlCrpqEvalOptions mapped_options = base_options;
       mapped_options.snapshot = mapped_.snapshot.get();
       variants.emplace_back(
-          "graph-vs-mapped",
+          "snapshot-vs-mapped",
           EvalDlCrpq(*mapped_.graph, q.value(), mapped_options));
     }
-    ExpectedStatus expected = CompareCrpqRuns("dlcrpq", base, variants);
+    ExpectedStatus expected = CompareRuns("dlcrpq", base, variants);
 
     if (base.ok() && (c_.step_budget != 0 || c_.memory_budget != 0)) {
       QueryContext ctx1, ctx2;
@@ -379,8 +390,8 @@ class OracleRun {
       Result<CrpqResult> run1 = EvalDlCrpq(g_, q.value(), governed);
       governed.cancel = &ctx2;
       Result<CrpqResult> run2 = EvalDlCrpq(g_, q.value(), governed);
-      CompareCrpqRuns("dlcrpq.governed-determinism", run1,
-                      {{"rerun", std::move(run2)}});
+      CompareRuns<CrpqResult>("dlcrpq.governed-determinism", run1,
+                              {{"rerun", std::move(run2)}});
       Check(ctx1.stop_cause() == ctx2.stop_cause(),
             "dlcrpq.governed-determinism.cause",
             std::string(StopCauseName(ctx1.stop_cause())) + " vs " +
@@ -397,54 +408,25 @@ class OracleRun {
     CoreQueryEvalOptions base_options;
     base_options.path_options.max_results = options_.max_results;
     base_options.path_options.max_path_length = options_.max_path_length;
+    base_options.path_options.snapshot = &snap_;
     Result<CoreQueryResult> base =
         EvalCoreGqlQuery(g_, q.value(), base_options);
 
-    CoreQueryEvalOptions snap_options = base_options;
-    snap_options.path_options.snapshot = &snap_;
-    Result<CoreQueryResult> from_snapshot =
-        EvalCoreGqlQuery(g_, q.value(), snap_options);
-
-    auto compare = [&](const char* check, const Result<CoreQueryResult>& a,
-                       const Result<CoreQueryResult>& b) {
-      if (a.ok() != b.ok()) {
-        Check(false, check,
-              a.ok() ? "base succeeded but variant failed: " +
-                           b.error().message()
-                     : "base failed but variant succeeded: " +
-                           a.error().message());
-        return;
-      }
-      if (!a.ok()) {
-        Check(a.error().code() == b.error().code(), check,
-              std::string("error codes differ: ") +
-                  ErrorCodeName(a.error().code()) + " vs " +
-                  ErrorCodeName(b.error().code()));
-        return;
-      }
-      Check(a.value().relation.ToString(g_.skeleton()) ==
-                    b.value().relation.ToString(g_.skeleton()) &&
-                a.value().truncated == b.value().truncated,
-            check,
-            "base:\n" + a.value().relation.ToString(g_.skeleton()) +
-                "variant:\n" + b.value().relation.ToString(g_.skeleton()));
-    };
-    compare("coregql.graph-vs-snapshot", base, from_snapshot);
-    compare("coregql.rerun-determinism", base,
-            EvalCoreGqlQuery(g_, q.value(), base_options));
+    std::vector<std::pair<const char*, Result<CoreQueryResult>>> variants;
+    variants.emplace_back("rerun-determinism",
+                          EvalCoreGqlQuery(g_, q.value(), base_options));
     CoreQueryEvalOptions batch_options = base_options;
     batch_options.use_batch = true;
-    compare("coregql.row-vs-batch", base,
-            EvalCoreGqlQuery(g_, q.value(), batch_options));
+    variants.emplace_back("row-vs-batch",
+                          EvalCoreGqlQuery(g_, q.value(), batch_options));
     if (have_mapped_) {
       CoreQueryEvalOptions mapped_options = base_options;
       mapped_options.path_options.snapshot = mapped_.snapshot.get();
-      compare("coregql.graph-vs-mapped", base,
-              EvalCoreGqlQuery(*mapped_.graph, q.value(), mapped_options));
+      variants.emplace_back(
+          "snapshot-vs-mapped",
+          EvalCoreGqlQuery(*mapped_.graph, q.value(), mapped_options));
     }
-
-    if (!base.ok()) return base.error().code();
-    return std::nullopt;
+    return CompareRuns("coregql", base, variants);
   }
 
   ExpectedStatus CheckGqlGroup() {
@@ -455,46 +437,23 @@ class OracleRun {
     CorePathEvalOptions base_options;
     base_options.max_results = options_.max_results;
     base_options.max_path_length = options_.max_path_length;
+    base_options.snapshot = &snap_;
     Result<GqlEvalResult> base =
         EvalGqlGroupPattern(g_, *pattern.value(), base_options);
 
-    CorePathEvalOptions snap_options = base_options;
-    snap_options.snapshot = &snap_;
-    Result<GqlEvalResult> from_snapshot =
-        EvalGqlGroupPattern(g_, *pattern.value(), snap_options);
-
-    auto compare = [&](const char* check, const Result<GqlEvalResult>& b) {
-      if (base.ok() != b.ok()) {
-        Check(false, check,
-              base.ok() ? "base succeeded but variant leg failed: " +
-                              b.error().message()
-                        : "base failed but variant leg succeeded: " +
-                              base.error().message());
-      } else if (!base.ok()) {
-        Check(base.error().code() == b.error().code(), check,
-              std::string("error codes differ: ") +
-                  ErrorCodeName(base.error().code()) + " vs " +
-                  ErrorCodeName(b.error().code()));
-      } else {
-        Check(base.value().rows == b.value().rows &&
-                  base.value().truncated == b.value().truncated,
-              check,
-              std::to_string(base.value().rows.size()) + " rows vs " +
-                  std::to_string(b.value().rows.size()) +
-                  " rows (truncated " + std::to_string(base.value().truncated) +
-                  "/" + std::to_string(b.value().truncated) + ")");
-      }
-    };
-    compare("gqlgroup.graph-vs-snapshot", from_snapshot);
+    std::vector<std::pair<const char*, Result<GqlEvalResult>>> variants;
+    variants.emplace_back(
+        "rerun-determinism",
+        EvalGqlGroupPattern(g_, *pattern.value(), base_options));
     if (have_mapped_) {
       CorePathEvalOptions mapped_options = base_options;
       mapped_options.snapshot = mapped_.snapshot.get();
-      compare("gqlgroup.graph-vs-mapped",
-              EvalGqlGroupPattern(*mapped_.graph, *pattern.value(),
-                                  mapped_options));
+      variants.emplace_back(
+          "snapshot-vs-mapped",
+          EvalGqlGroupPattern(*mapped_.graph, *pattern.value(),
+                              mapped_options));
     }
-    if (!base.ok()) return base.error().code();
-    return std::nullopt;
+    return CompareRuns("gqlgroup", base, variants);
   }
 
   ExpectedStatus CheckPaths() {
@@ -503,13 +462,15 @@ class OracleRun {
     Result<RegexPtr> dl = ParseRegex(c_.query_text, RegexDialect::kDl);
     std::optional<DlNfa> dl_nfa;
     std::optional<Nfa> nfa;
+    RegexPtr plain;
     if (dl.ok()) {
       dl_nfa = DlNfa::FromRegex(*dl.value(), g_);
     } else {
-      Result<RegexPtr> plain =
+      Result<RegexPtr> parsed =
           ParseRegex(c_.query_text, RegexDialect::kPlain);
-      if (!plain.ok()) return ErrorCode::kParse;
-      nfa = Nfa::FromRegex(*plain.value(), g_.skeleton());
+      if (!parsed.ok()) return ErrorCode::kParse;
+      plain = parsed.value();
+      nfa = Nfa::FromRegex(*plain, g_.skeleton());
     }
     report_->parsed = true;
 
@@ -525,56 +486,47 @@ class OracleRun {
     EnumerationLimits limits;
     limits.max_results = options_.max_results;
     limits.max_length = options_.max_path_length;
+    auto collect = [&](const PropertyGraph& g, const GraphSnapshot& snapshot,
+                       const EnumerationLimits& lim, EnumerationStats* stats) {
+      return dl_nfa.has_value()
+                 ? DlEvaluator(g, *dl_nfa, &snapshot)
+                       .CollectModePaths(*u, *v, c_.paths_mode, lim, stats)
+                 : CollectModePaths(snapshot, *nfa, *u, *v, c_.paths_mode,
+                                    lim, stats);
+    };
 
-    EnumerationStats stats_graph, stats_snap;
-    std::vector<PathBinding> base, from_snapshot;
-    if (dl_nfa.has_value()) {
-      DlEvaluator eval_graph(g_, *dl_nfa);
-      DlEvaluator eval_snap(g_, *dl_nfa, &snap_);
-      base = eval_graph.CollectModePaths(*u, *v, c_.paths_mode, limits,
-                                         &stats_graph);
-      from_snapshot = eval_snap.CollectModePaths(*u, *v, c_.paths_mode,
-                                                 limits, &stats_snap);
-    } else {
-      base = CollectModePaths(g_.skeleton(), *nfa, *u, *v, c_.paths_mode,
-                              limits, &stats_graph);
-      from_snapshot = CollectModePaths(snap_, *nfa, *u, *v, c_.paths_mode,
-                                       limits, &stats_snap);
+    EnumerationStats stats;
+    const std::vector<PathBinding> base = collect(g_, snap_, limits, &stats);
+    if (have_mapped_) {
+      EnumerationStats stats_mapped;
+      const std::vector<PathBinding> from_mapped =
+          collect(*mapped_.graph, *mapped_.snapshot, limits, &stats_mapped);
+      Check(base == from_mapped && stats.truncated == stats_mapped.truncated,
+            "paths.snapshot-vs-mapped",
+            std::to_string(base.size()) + " paths vs " +
+                std::to_string(from_mapped.size()) + " paths (truncated " +
+                std::to_string(stats.truncated) + "/" +
+                std::to_string(stats_mapped.truncated) + ")");
     }
-    Check(stats_graph.truncated == stats_snap.truncated,
-          "paths.truncation-agreement",
-          std::string("graph truncated=") +
-              std::to_string(stats_graph.truncated) + " snapshot truncated=" +
-              std::to_string(stats_snap.truncated));
-    if (!stats_graph.truncated && !stats_snap.truncated) {
-      Check(base == from_snapshot, "paths.graph-vs-snapshot",
-            std::to_string(base.size()) + " paths vs " +
-                std::to_string(from_snapshot.size()) + " paths");
-      if (have_mapped_) {
-        EnumerationStats stats_mapped;
-        std::vector<PathBinding> from_mapped;
-        if (dl_nfa.has_value()) {
-          DlEvaluator eval_mapped(*mapped_.graph, *dl_nfa,
-                                  mapped_.snapshot.get());
-          from_mapped = eval_mapped.CollectModePaths(*u, *v, c_.paths_mode,
-                                                     limits, &stats_mapped);
-        } else {
-          from_mapped = CollectModePaths(*mapped_.snapshot, *nfa, *u, *v,
-                                         c_.paths_mode, limits, &stats_mapped);
-        }
-        Check(!stats_mapped.truncated && base == from_mapped,
-              "paths.graph-vs-mapped",
-              std::to_string(base.size()) + " paths vs " +
-                  std::to_string(from_mapped.size()) + " paths (truncated " +
-                  std::to_string(stats_mapped.truncated) + ")");
-      }
-    } else {
-      // Under truncation the kept subset is substrate-dependent (documented
-      // for kSimple/kTrail: successors are visited in slice order); the
-      // result *count* must still agree when both legs hit max_results.
-      Check(base.size() == from_snapshot.size(), "paths.truncated-count",
-            std::to_string(base.size()) + " paths vs " +
-                std::to_string(from_snapshot.size()) + " paths");
+    // The reference speaks the plain dialect's path semantics only
+    // (dl-RPQ paths may start and end with edges).
+    if (plain != nullptr) {
+      CheckReference<std::vector<PathBinding>>(
+          "paths.reference",
+          ReferenceModePaths(g_.skeleton(), *plain, *u, *v, c_.paths_mode,
+                             options_.max_path_length),
+          [&](const auto& ref) {
+            // A truncated enumeration keeps some of the paths of at most
+            // max_path_length edges; it must never invent one.
+            return stats.truncated ? std::includes(ref.begin(), ref.end(),
+                                                   base.begin(), base.end())
+                                   : base == ref;
+          },
+          [&](const auto& ref) {
+            return std::to_string(base.size()) + " paths" +
+                   (stats.truncated ? " (truncated)" : "") + " vs " +
+                   std::to_string(ref.size()) + " reference paths";
+          });
     }
 
     if (c_.step_budget != 0 || c_.memory_budget != 0) {
@@ -582,21 +534,10 @@ class OracleRun {
       ctx1.set_budgets(CaseBudgets(c_));
       ctx2.set_budgets(CaseBudgets(c_));
       EnumerationLimits governed = limits;
-      std::vector<PathBinding> run1, run2;
       governed.cancel = &ctx1;
-      if (dl_nfa.has_value()) {
-        run1 = DlEvaluator(g_, *dl_nfa)
-                   .CollectModePaths(*u, *v, c_.paths_mode, governed);
-        governed.cancel = &ctx2;
-        run2 = DlEvaluator(g_, *dl_nfa)
-                   .CollectModePaths(*u, *v, c_.paths_mode, governed);
-      } else {
-        run1 = CollectModePaths(g_.skeleton(), *nfa, *u, *v, c_.paths_mode,
-                                governed);
-        governed.cancel = &ctx2;
-        run2 = CollectModePaths(g_.skeleton(), *nfa, *u, *v, c_.paths_mode,
-                                governed);
-      }
+      std::vector<PathBinding> run1 = collect(g_, snap_, governed, nullptr);
+      governed.cancel = &ctx2;
+      std::vector<PathBinding> run2 = collect(g_, snap_, governed, nullptr);
       Check(run1 == run2 && ctx1.stop_cause() == ctx2.stop_cause(),
             "paths.governed-determinism",
             std::string("same budget, different outcome: ") +
@@ -763,7 +704,7 @@ class OracleRun {
     }
   }
 
-  /// Budget injection: on every substrate the governed run must either
+  /// Budget injection: in every join order the governed run must either
   /// reproduce the ungoverned outcome or trip as RESOURCE_EXHAUSTED —
   /// never a different answer, never a different error class.
   void CheckGovernedLegs(const QueryRequest& request,
@@ -803,7 +744,7 @@ class OracleRun {
   }
 
   /// Armed fail-points: each site maps to a documented code, and every
-  /// substrate must surface exactly that code (or complete cleanly if the
+  /// join order must surface exactly that code (or complete cleanly if the
   /// site is never reached) — no wrong answers, no other classes.
   void CheckFailpointLegs(const QueryRequest& request,
                           const Result<QueryResponse>& cold) {

@@ -1,6 +1,7 @@
 #ifndef GQZOO_FUZZ_ORACLE_H_
 #define GQZOO_FUZZ_ORACLE_H_
 
+#include <map>
 #include <string>
 #include <vector>
 
@@ -12,7 +13,7 @@ namespace gqzoo {
 namespace fuzz {
 
 /// Knobs for one oracle run. The limits are deliberately small: every case
-/// runs the full substrate matrix, and small limits keep the per-case cost
+/// runs the whole leg matrix, and small limits keep the per-case cost
 /// bounded even on adversarial generated inputs (dense products, nested
 /// stars).
 struct OracleOptions {
@@ -36,7 +37,7 @@ struct OracleOptions {
 
   /// Run the governed legs: budget injection (status must be the
   /// ungoverned status or RESOURCE_EXHAUSTED — never a wrong answer) and
-  /// fail-point parity across substrates.
+  /// fail-point parity across join orders.
   bool error_parity = true;
 
   /// Cross-check set-semantics RPQ answers against SPARQL-bag counts
@@ -45,8 +46,8 @@ struct OracleOptions {
 };
 
 /// One observed disagreement. `check` is a stable dotted name for the leg
-/// pair ("rpq.graph-vs-snapshot", "engine.cold-vs-cached", ...); `detail`
-/// is a human-readable explanation, truncated to stay log-friendly.
+/// pair ("rpq.reference", "engine.cold-vs-cached", ...); `detail` is a
+/// human-readable explanation, truncated to stay log-friendly.
 struct Divergence {
   std::string check;
   std::string detail;
@@ -57,6 +58,9 @@ struct OracleReport {
   std::vector<Divergence> divergences;
   /// Individual leg comparisons performed (for throughput reporting).
   size_t checks = 0;
+  /// Comparisons per definitional-reference leg; a case whose reference
+  /// ran out of its work budget counts under "<leg>.inconclusive".
+  std::map<std::string, size_t> reference_checks;
   /// The case's query text parsed at the library level. Cases that fail to
   /// parse still exercise the parse-error-parity legs, but a fuzzer wants
   /// to know its generator's hit rate.
@@ -67,20 +71,22 @@ struct OracleReport {
   std::string ToString() const;
 };
 
-/// Runs `c` through every applicable substrate pair and records any
+/// Runs `c` through every applicable leg pair and records any
 /// disagreement:
 ///
-///   library level   graph-scan vs CSR-snapshot, serial vs sharded,
+///   library level   RPQ, CRPQ and paths answers vs the definitional
+///                   reference (src/fuzz/reference.h), built vs mapped
+///                   snapshot, serial vs sharded, row vs batch kernel,
 ///                   rerun determinism, bag-positivity vs set answers,
-///                   statistics graph-vs-snapshot, governed-rerun
-///                   determinism (same budget => same rows, same cause);
+///                   governed-rerun determinism (same budget => same
+///                   rows, same cause);
 ///   engine level    library status vs engine status (same ErrorCode),
 ///                   cold vs cached plan (byte-identical), planner vs
 ///                   textual join order, WHERE-pushdown on/off,
 ///                   budget injection (ungoverned status or
 ///                   RESOURCE_EXHAUSTED, nothing else), armed fail-points
-///                   (expected code or clean completion, on every
-///                   substrate).
+///                   (expected code or clean completion, in every
+///                   join order).
 ///
 /// Never asserts or throws: all disagreement is data in the report, so the
 /// fuzzer can minimize and persist it.

@@ -8,7 +8,7 @@ namespace fuzz {
 namespace {
 
 /// A node name for an endpoint/constant: usually a real node, rarely a
-/// missing one (all substrates must agree on the resulting error).
+/// missing one (every leg must agree on the resulting error).
 std::string PickNodeName(FuzzRng* rng, const PropertyGraph& g) {
   if (g.NumNodes() == 0 || rng->Percent(5)) return "nope";
   return std::string(g.NodeName(static_cast<NodeId>(rng->Index(g.NumNodes()))));
@@ -429,8 +429,8 @@ std::string GenQueryText(FuzzRng* rng, QueryLanguage language,
     }
 
     case QueryLanguage::kRegular:
-      // Regular queries mutate a working copy of the graph and have no
-      // snapshot substrate; the harness does not generate them (DESIGN.md).
+      // Regular queries mutate a working copy of the graph; the harness
+      // does not generate them (DESIGN.md).
       return "";
   }
   return "";

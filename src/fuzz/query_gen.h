@@ -20,7 +20,7 @@ struct QueryGenOptions {
   size_t max_atoms = 3;
   /// Percent of CRPQ endpoint terms that are node constants (`@n3`) —
   /// including, rarely, a constant naming a node that does not exist, to
-  /// exercise error parity across substrates.
+  /// exercise error parity across legs.
   uint64_t constant_percent = 15;
   /// Percent of atoms that carry a list-variable capture (`^z1`).
   uint64_t capture_percent = 30;

@@ -22,7 +22,7 @@ class SnapshotCodec;  // serializes/maps snapshots (storage/snapshot_format.h)
 /// Every practical engine surveyed in Angles et al. keeps adjacency
 /// partitioned by edge label, because the inner loop of product-automaton
 /// evaluation asks "successors of v via label a", not "successors of v".
-/// The seed `EdgeLabeledGraph` answers that in O(deg(v)) by filtering;
+/// A plain `EdgeLabeledGraph` answers that in O(deg(v)) by filtering;
 /// this snapshot answers it in O(deg_a(v)) by slicing:
 ///
 ///  * `hops` — one entry per edge per direction, grouped by node, then by

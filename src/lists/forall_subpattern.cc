@@ -54,7 +54,9 @@ Result<bool> ForAllSubpatternHolds(const PropertyGraph& g, const Path& p,
                                    const CorePattern& sub,
                                    const CoreCondition& cond) {
   PropertyGraph path_graph = PathAsGraph(g, p);
-  Result<std::vector<CorePairRow>> matches = EvalPatternPairs(path_graph, sub);
+  GraphSnapshot snapshot(path_graph);
+  Result<std::vector<CorePairRow>> matches =
+      EvalPatternPairs(path_graph, sub, snapshot);
   if (!matches.ok()) return matches.error();
   for (const CorePairRow& row : matches.value()) {
     if (!EvalCoreCondition(path_graph, cond, row.mu)) return false;

@@ -113,16 +113,19 @@ Result<RegularQuery> ParseRegularQuery(const std::string& text) {
 Result<CrpqResult> EvalRegularQuery(const EdgeLabeledGraph& g,
                                     const RegularQuery& query,
                                     const CrpqEvalOptions& options) {
+  // Each rule materializes new edges into a plain mutable copy of the
+  // graph (overlay and mapped graphs are immutable, hence
+  // MaterializePlain), so every rule and the main query evaluate over a
+  // fresh snapshot of the working copy as it stands at that point.
   EdgeLabeledGraph working = g.MaterializePlain();
-  // Each rule materializes new edges into `working`, so any snapshot the
-  // caller passed describes a stale graph: evaluate rules and the main
-  // query against a plain mutable copy directly (overlay and mapped
-  // graphs are immutable, hence MaterializePlain).
-  CrpqEvalOptions local = options;
-  local.snapshot = nullptr;
-  local.pool = nullptr;
+  auto eval = [&](const Crpq& q) {
+    GraphSnapshot snapshot(working);
+    CrpqEvalOptions local = options;
+    local.snapshot = &snapshot;
+    return EvalCrpq(working, q, local);
+  };
   for (const RegularQueryRule& rule : query.rules) {
-    Result<CrpqResult> pairs = EvalCrpq(working, rule.query, local);
+    Result<CrpqResult> pairs = eval(rule.query);
     if (!pairs.ok()) return pairs;
     if (pairs.value().head.size() != 2) {
       return Error("rule '" + rule.name + "' did not produce a binary result");
@@ -138,7 +141,7 @@ Result<CrpqResult> EvalRegularQuery(const EdgeLabeledGraph& g,
                       label);
     }
   }
-  return EvalCrpq(working, query.main, local);
+  return eval(query.main);
 }
 
 }  // namespace gqzoo

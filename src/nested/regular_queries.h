@@ -37,8 +37,10 @@ Result<RegularQuery> ParseRegularQuery(const std::string& text);
 
 /// Evaluates by stratum: each rule is materialized as virtual edges (named
 /// "name#i") added to a working copy of the graph, in order; then the main
-/// CRPQ runs on the extended graph. Rules must not reference later rules
-/// or themselves (checked).
+/// CRPQ runs on the extended graph. Each rule and the main query run over
+/// a snapshot of the working copy built just before it, so the caller's
+/// `options.snapshot` is ignored. Rules must not reference later rules or
+/// themselves (checked).
 Result<CrpqResult> EvalRegularQuery(const EdgeLabeledGraph& g,
                                     const RegularQuery& query,
                                     const CrpqEvalOptions& options = {});

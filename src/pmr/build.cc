@@ -4,13 +4,14 @@
 
 namespace gqzoo {
 
-namespace {
-
-// Product graph -> PMR, shared by both adjacency substrates.
-Pmr PmrFromProduct(const ProductGraph& product, const Nfa& nfa,
-                   const std::vector<NodeId>& sources,
-                   const std::vector<NodeId>& targets) {
-  const EdgeLabeledGraph& g = product.graph();
+Pmr BuildPmr(const GraphSnapshot& s, const Nfa& nfa,
+             const std::vector<NodeId>& sources,
+             const std::vector<NodeId>& targets) {
+  // PMRs represent one-way paths (Remark 9): inverse transitions have no
+  // path witness in this model.
+  assert(!nfa.HasInverse() && "PMRs require one-way automata");
+  ProductGraph product(s, nfa);
+  const EdgeLabeledGraph& g = s.graph();
   Pmr pmr(g);
   pmr.capture_names() = nfa.capture_names();
   // PMR node i corresponds to product node i; γ projects to the graph node.
@@ -41,31 +42,6 @@ Pmr PmrFromProduct(const ProductGraph& product, const Nfa& nfa,
     for (NodeId v : targets) add_target(v);
   }
   return pmr.Trim();
-}
-
-}  // namespace
-
-Pmr BuildPmr(const EdgeLabeledGraph& g, const Nfa& nfa,
-             const std::vector<NodeId>& sources,
-             const std::vector<NodeId>& targets) {
-  // PMRs represent one-way paths (Remark 9): inverse transitions have no
-  // path witness in this model.
-  assert(!nfa.HasInverse() && "PMRs require one-way automata");
-  ProductGraph product(g, nfa);
-  return PmrFromProduct(product, nfa, sources, targets);
-}
-
-Pmr BuildPmr(const GraphSnapshot& s, const Nfa& nfa,
-             const std::vector<NodeId>& sources,
-             const std::vector<NodeId>& targets) {
-  assert(!nfa.HasInverse() && "PMRs require one-way automata");
-  ProductGraph product(s, nfa);
-  return PmrFromProduct(product, nfa, sources, targets);
-}
-
-Pmr BuildPmrBetween(const EdgeLabeledGraph& g, const Nfa& nfa, NodeId u,
-                    NodeId v) {
-  return BuildPmr(g, nfa, {u}, {v});
 }
 
 Pmr BuildPmrBetween(const GraphSnapshot& s, const Nfa& nfa, NodeId u,

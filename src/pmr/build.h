@@ -17,22 +17,14 @@ namespace gqzoo {
 /// 6.4). Capture annotations of the NFA are carried onto PMR edges, so the
 /// result also represents the l-RPQ bindings.
 ///
-/// When `sources` (`targets`) is empty, all graph nodes qualify.
-///
-/// The `GraphSnapshot` overloads build the underlying product graph via
-/// label slices (each NFA transition pulls exactly its matching edges);
-/// the resulting PMR — node ids, edge order, everything — is identical to
-/// the seed path's.
-Pmr BuildPmr(const EdgeLabeledGraph& g, const Nfa& nfa,
-             const std::vector<NodeId>& sources,
-             const std::vector<NodeId>& targets);
+/// When `sources` (`targets`) is empty, all graph nodes qualify. The
+/// underlying product graph is built from the snapshot's label slices
+/// (each NFA transition pulls exactly its matching edges).
 Pmr BuildPmr(const GraphSnapshot& s, const Nfa& nfa,
              const std::vector<NodeId>& sources,
              const std::vector<NodeId>& targets);
 
 /// Convenience: single endpoint pair (σ_{u,v}([[R]]_G) as a PMR).
-Pmr BuildPmrBetween(const EdgeLabeledGraph& g, const Nfa& nfa, NodeId u,
-                    NodeId v);
 Pmr BuildPmrBetween(const GraphSnapshot& s, const Nfa& nfa, NodeId u,
                     NodeId v);
 

@@ -28,10 +28,8 @@ struct MemoKeyHash {
 
 class BagCounter {
  public:
-  explicit BagCounter(const EdgeLabeledGraph& g,
-                      const GraphSnapshot* snap = nullptr)
-      : g_(g), snap_(snap) {
-    assert(g.NumNodes() <= 64 && "bag counting uses a 64-bit node bitmask");
+  explicit BagCounter(const GraphSnapshot& s) : g_(s.graph()), snap_(s) {
+    assert(g_.NumNodes() <= 64 && "bag counting uses a 64-bit node bitmask");
   }
 
   BigUint Count(const Regex& r, NodeId u, NodeId v) {
@@ -50,18 +48,10 @@ class BagCounter {
         return BigUint(u == v ? 1 : 0);
       case Regex::Op::kAtom: {
         uint64_t count = 0;
-        if (snap_ != nullptr) {
-          snap_->ForEachMatch(u, AtomPred(r.atom()), /*inverse=*/false,
-                              [&](const GraphSnapshot::Hop& hop) {
-                                if (hop.node == v) ++count;
-                              });
-        } else {
-          for (EdgeId e : g_.OutEdges(u)) {
-            if (g_.Tgt(e) == v && AtomMatches(r.atom(), g_.EdgeLabel(e))) {
-              ++count;
-            }
-          }
-        }
+        snap_.ForEachMatch(u, AtomPred(r.atom()), /*inverse=*/false,
+                           [&](const GraphSnapshot::Hop& hop) {
+                             if (hop.node == v) ++count;
+                           });
         return BigUint(count);
       }
       case Regex::Op::kConcat: {
@@ -118,8 +108,8 @@ class BagCounter {
     }
   }
 
-  // Resolves a regex atom to a LabelPred over this graph's interned labels,
-  // matching AtomMatches exactly (unresolvable kOne → None, kTest → None).
+  // Resolves a regex atom to a LabelPred over this graph's interned labels
+  // (unresolvable kOne → None, kTest → None).
   LabelPred AtomPred(const Atom& atom) {
     switch (atom.label_kind) {
       case Atom::LabelKind::kOne: {
@@ -142,59 +132,21 @@ class BagCounter {
     return LabelPred::None();
   }
 
-  bool AtomMatches(const Atom& atom, LabelId label) {
-    switch (atom.label_kind) {
-      case Atom::LabelKind::kOne: {
-        std::optional<LabelId> l = g_.FindLabel(atom.labels[0]);
-        return l.has_value() && *l == label;
-      }
-      case Atom::LabelKind::kNegSet: {
-        for (const std::string& name : atom.labels) {
-          std::optional<LabelId> l = g_.FindLabel(name);
-          if (l.has_value() && *l == label) return false;
-        }
-        return true;
-      }
-      case Atom::LabelKind::kAny:
-        return true;
-      case Atom::LabelKind::kTest:
-        return false;
-    }
-    return false;
-  }
-
   const EdgeLabeledGraph& g_;
-  const GraphSnapshot* snap_;
+  const GraphSnapshot& snap_;
   std::unordered_map<MemoKey, BigUint, MemoKeyHash> memo_;
 };
 
 }  // namespace
 
-BigUint BagCount(const Regex& regex, const EdgeLabeledGraph& g, NodeId u,
-                 NodeId v) {
-  BagCounter counter(g);
-  return counter.Count(regex, u, v);
-}
-
-BigUint BagCountTotal(const Regex& regex, const EdgeLabeledGraph& g) {
-  BagCounter counter(g);
-  BigUint total;
-  for (NodeId u = 0; u < g.NumNodes(); ++u) {
-    for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      total += counter.Count(regex, u, v);
-    }
-  }
-  return total;
-}
-
 BigUint BagCount(const Regex& regex, const GraphSnapshot& s, NodeId u,
                  NodeId v) {
-  BagCounter counter(s.graph(), &s);
+  BagCounter counter(s);
   return counter.Count(regex, u, v);
 }
 
 BigUint BagCountTotal(const Regex& regex, const GraphSnapshot& s) {
-  BagCounter counter(s.graph(), &s);
+  BagCounter counter(s);
   BigUint total;
   for (NodeId u = 0; u < s.NumNodes(); ++u) {
     for (NodeId v = 0; v < s.NumNodes(); ++v) {

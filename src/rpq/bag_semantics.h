@@ -2,7 +2,6 @@
 #define GQZOO_RPQ_BAG_SEMANTICS_H_
 
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 #include "src/regex/ast.h"
 #include "src/util/biguint.h"
 
@@ -26,17 +25,12 @@ namespace gqzoo {
 ///
 /// This reproduces the "more answers than protons in the observable
 /// universe" blow-up of `(((a*)*)*)*` on a 6-clique (experiment E5).
-/// Requires `g.NumNodes() <= 64` (the star expansion uses a node bitmask).
-BigUint BagCount(const Regex& regex, const EdgeLabeledGraph& g, NodeId u,
-                 NodeId v);
-
-/// Total multiplicity over all pairs: Σ_{u,v} BagCount(regex, g, u, v).
-BigUint BagCountTotal(const Regex& regex, const EdgeLabeledGraph& g);
-
-/// Label-sliced variants: atom counting iterates only the out-slice of the
-/// atom's label instead of all out-edges. Counts are identical.
+/// Atom counting iterates only the out-slice of the atom's label.
+/// Requires `s.NumNodes() <= 64` (the star expansion uses a node bitmask).
 BigUint BagCount(const Regex& regex, const GraphSnapshot& s, NodeId u,
                  NodeId v);
+
+/// Total multiplicity over all pairs: Σ_{u,v} BagCount(regex, s, u, v).
 BigUint BagCountTotal(const Regex& regex, const GraphSnapshot& s);
 
 }  // namespace gqzoo

@@ -2,30 +2,10 @@
 
 #include <algorithm>
 #include <random>
-#include <set>
 
 #include "src/rpq/rpq_eval.h"
 
 namespace gqzoo {
-
-GraphStatistics::GraphStatistics(const EdgeLabeledGraph& g)
-    : num_nodes_(g.NumNodes()), num_edges_(g.NumEdges()) {
-  const size_t num_labels = g.NumLabels();
-  edge_count_.assign(num_labels, 0);
-  std::vector<std::set<NodeId>> srcs(num_labels), tgts(num_labels);
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    LabelId l = g.EdgeLabel(e);
-    ++edge_count_[l];
-    srcs[l].insert(g.Src(e));
-    tgts[l].insert(g.Tgt(e));
-  }
-  distinct_src_.resize(num_labels);
-  distinct_tgt_.resize(num_labels);
-  for (size_t l = 0; l < num_labels; ++l) {
-    distinct_src_[l] = srcs[l].size();
-    distinct_tgt_[l] = tgts[l].size();
-  }
-}
 
 GraphStatistics::GraphStatistics(const GraphSnapshot& s)
     : num_nodes_(s.NumNodes()), num_edges_(s.graph().NumEdges()) {
@@ -122,21 +102,6 @@ double EstimateRpqCardinalitySynopsis(const GraphStatistics& stats,
   }
   per_start = std::min(per_start, n);
   return std::min(per_start * n, n * n);
-}
-
-double EstimateRpqCardinalitySampling(const EdgeLabeledGraph& g,
-                                      const Nfa& nfa, size_t sample_size,
-                                      uint64_t seed) {
-  if (g.NumNodes() == 0 || sample_size == 0) return 0.0;
-  std::mt19937_64 rng(seed);
-  std::uniform_int_distribution<NodeId> pick(
-      0, static_cast<NodeId>(g.NumNodes() - 1));
-  size_t total = 0;
-  for (size_t i = 0; i < sample_size; ++i) {
-    total += EvalRpqFrom(g, nfa, pick(rng)).size();
-  }
-  return static_cast<double>(total) / static_cast<double>(sample_size) *
-         static_cast<double>(g.NumNodes());
 }
 
 double EstimateRpqCardinalitySampling(const GraphSnapshot& s, const Nfa& nfa,

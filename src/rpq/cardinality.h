@@ -6,7 +6,6 @@
 
 #include "src/automata/nfa.h"
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 
 namespace gqzoo {
 
@@ -19,9 +18,8 @@ namespace gqzoo {
 /// (the analogue of relational per-attribute statistics).
 class GraphStatistics {
  public:
-  explicit GraphStatistics(const EdgeLabeledGraph& g);
-  /// Builds the same synopsis from a snapshot's per-label edge lists
-  /// (one pass per label slice instead of a full edge scan).
+  /// Built from the snapshot's per-label edge lists (one pass per label
+  /// slice).
   explicit GraphStatistics(const GraphSnapshot& s);
 
   size_t num_nodes() const { return num_nodes_; }
@@ -55,12 +53,6 @@ double EstimateRpqCardinalitySynopsis(const GraphStatistics& stats,
 /// Sampling-based estimate: run the exact single-source evaluation from
 /// `sample_size` uniformly random start nodes and scale up. Unbiased, cost
 /// proportional to the sampled BFS work.
-double EstimateRpqCardinalitySampling(const EdgeLabeledGraph& g,
-                                      const Nfa& nfa, size_t sample_size,
-                                      uint64_t seed);
-
-/// Snapshot variant: the sampled single-source evaluations run on the
-/// label-indexed CSR. Same estimate for the same seed.
 double EstimateRpqCardinalitySampling(const GraphSnapshot& s, const Nfa& nfa,
                                       size_t sample_size, uint64_t seed);
 

@@ -27,23 +27,8 @@ void ProductGraph::AddArcsFor(uint32_t q, const Nfa::Transition& t, EdgeId e,
   }
 }
 
-ProductGraph::ProductGraph(const EdgeLabeledGraph& g, const Nfa& nfa)
-    : graph_(&g), nfa_(&nfa), num_states_(nfa.num_states()) {
-  AllocateProduct(g.NumNodes());
-  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    LabelId l = g.EdgeLabel(e);
-    NodeId src = g.Src(e);
-    NodeId tgt = g.Tgt(e);
-    for (uint32_t q = 0; q < num_states_; ++q) {
-      for (const Nfa::Transition& t : nfa.Out(q)) {
-        if (t.pred.Matches(l)) AddArcsFor(q, t, e, src, tgt);
-      }
-    }
-  }
-}
-
 ProductGraph::ProductGraph(const GraphSnapshot& s, const Nfa& nfa)
-    : graph_(&s.graph()), nfa_(&nfa), num_states_(nfa.num_states()) {
+    : nfa_(&nfa), num_states_(nfa.num_states()) {
   AllocateProduct(s.NumNodes());
   const EdgeLabeledGraph& g = s.graph();
   // Transition-major fill: each transition touches exactly the edges its
@@ -72,9 +57,9 @@ ProductGraph::ProductGraph(const GraphSnapshot& s, const Nfa& nfa)
       }
     }
   }
-  // Canonicalize to the seed constructor's per-node order (edge-major;
-  // stable keeps transition order within an edge), so enumeration order —
-  // and any truncated prefix of it — matches the reference path exactly.
+  // Canonicalize each node's arcs to edge-major order (stable keeps
+  // transition order within an edge): enumeration order — and so the
+  // prefix a truncated enumeration keeps — follows edge ids.
   for (auto& arcs : out_) {
     std::stable_sort(arcs.begin(), arcs.end(),
                      [](const Arc& a, const Arc& b) { return a.edge < b.edge; });

@@ -6,7 +6,6 @@
 
 #include "src/automata/nfa.h"
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
 
 namespace gqzoo {
 
@@ -34,13 +33,12 @@ class ProductGraph {
     bool reversed;      // arc from an inverse transition (2RPQs, Remark 9)
   };
 
-  ProductGraph(const EdgeLabeledGraph& g, const Nfa& nfa);
-  /// Label-sliced construction: instead of testing every (edge, transition)
-  /// combination, each transition pulls exactly its matching edges from the
-  /// snapshot's per-label edge lists. Per-node arc lists are canonicalized
-  /// to the seed constructor's order (edge-major, transition order within
-  /// an edge) so downstream enumeration — including truncated-binding
-  /// prefixes — is identical.
+  /// Label-sliced construction: each transition pulls exactly its
+  /// matching edges from the snapshot's per-label edge lists. Per-node arc
+  /// lists are then canonicalized to edge-major order (transition order
+  /// within an edge), so downstream enumeration — including the prefix a
+  /// truncated enumeration keeps — does not depend on the NFA's transition
+  /// order.
   ProductGraph(const GraphSnapshot& s, const Nfa& nfa);
 
   uint32_t num_product_nodes() const {
@@ -59,7 +57,6 @@ class ProductGraph {
 
   uint32_t num_states() const { return num_states_; }
   const Nfa& nfa() const { return *nfa_; }
-  const EdgeLabeledGraph& graph() const { return *graph_; }
 
   size_t NumArcs() const;
 
@@ -72,7 +69,6 @@ class ProductGraph {
   void AddArcsFor(uint32_t q, const Nfa::Transition& t, EdgeId e, NodeId src,
                   NodeId tgt);
 
-  const EdgeLabeledGraph* graph_;
   const Nfa* nfa_;
   uint32_t num_states_;
   std::vector<std::vector<Arc>> out_;

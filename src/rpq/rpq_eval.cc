@@ -13,52 +13,21 @@ namespace gqzoo {
 
 namespace {
 
-// The two adjacency substrates, unified behind one "expand a product
-// transition" shape so the BFS below is written once. `push(next)` is
-// called for every graph node reachable from `v` over an edge matching
-// the transition's predicate (backwards when the transition is inverse).
-
-struct GraphExpander {
-  const EdgeLabeledGraph& g;
-  size_t NumNodes() const { return g.NumNodes(); }
-  template <typename Push>
-  void operator()(NodeId v, const Nfa::Transition& t, Push&& push) const {
-    if (t.inverse) {
-      // Two-way navigation (Remark 9): traverse matching edges backwards.
-      for (EdgeId e : g.InEdges(v)) {
-        if (t.pred.Matches(g.EdgeLabel(e))) push(g.Src(e));
-      }
-    } else {
-      for (EdgeId e : g.OutEdges(v)) {
-        if (t.pred.Matches(g.EdgeLabel(e))) push(g.Tgt(e));
-      }
-    }
-  }
-};
-
-struct SnapshotExpander {
-  const GraphSnapshot& s;
-  size_t NumNodes() const { return s.NumNodes(); }
-  template <typename Push>
-  void operator()(NodeId v, const Nfa::Transition& t, Push&& push) const {
-    s.ForEachMatch(v, t.pred, t.inverse,
-                   [&](const GraphSnapshot::Hop& hop) { push(hop.node); });
-  }
-};
-
-// Lazy BFS over the (virtual) product graph from (u, q0). Calls `visit`
-// for every graph node v such that some (v, q) with accepting q is reached;
-// returns early if `visit` returns false.
+// Lazy BFS over the (virtual) product graph from (u, q0). Each NFA
+// transition expands over exactly its label slice (backwards when the
+// transition is inverse). Calls `visit` for every graph node v such that
+// some (v, q) with accepting q is reached; returns early if `visit`
+// returns false.
 //
 // Product-state ids are packed in 64 bits: `NumNodes() * num_states` can
 // exceed 2^32 on exactly the families the paper's complexity claims use
 // (large cliques, wide NFAs), and a 32-bit pack silently aliases distinct
 // product states into one `seen` slot — wrong answers, not a crash.
-template <typename Expander, typename Visit>
-void ProductBfsFrom(const Expander& expand, const Nfa& nfa, NodeId u,
+template <typename Visit>
+void ProductBfsFrom(const GraphSnapshot& s, const Nfa& nfa, NodeId u,
                     const CancellationToken* cancel, Visit visit) {
   const uint32_t num_states = nfa.num_states();
-  const size_t num_nodes = expand.NumNodes();
+  const size_t num_nodes = s.NumNodes();
   const uint64_t product_states =
       static_cast<uint64_t>(num_nodes) * num_states;
   if (cancel != nullptr && Failpoint::ShouldFail("rpq.product.bfs")) {
@@ -93,7 +62,9 @@ void ProductBfsFrom(const Expander& expand, const Nfa& nfa, NodeId u,
       if (!visit(v)) return;
     }
     for (const Nfa::Transition& t : nfa.Out(q)) {
-      expand(v, t, [&](NodeId next) { push_state(next, t.to); });
+      s.ForEachMatch(v, t.pred, t.inverse, [&](const GraphSnapshot::Hop& hop) {
+        push_state(hop.node, t.to);
+      });
     }
   }
 }
@@ -102,13 +73,12 @@ void ProductBfsFrom(const Expander& expand, const Nfa& nfa, NodeId u,
 // [lo, hi), pairs appended to `*result`. Returns false if the context
 // tripped (the caller skips its final sort — partial results are
 // discarded by the engine, and unwinding promptly is the contract).
-template <typename Expander>
-bool EvalRpqRange(const Expander& expand, const Nfa& nfa, NodeId lo, NodeId hi,
-                  const CancellationToken* cancel,
+bool EvalRpqRange(const GraphSnapshot& s, const Nfa& nfa, NodeId lo,
+                  NodeId hi, const CancellationToken* cancel,
                   std::vector<std::pair<NodeId, NodeId>>* result) {
   for (NodeId u = lo; u < hi; ++u) {
     if (ShouldStop(cancel)) return false;
-    ProductBfsFrom(expand, nfa, u, cancel, [&](NodeId v) {
+    ProductBfsFrom(s, nfa, u, cancel, [&](NodeId v) {
       if (!ChargeRows(cancel) ||
           !ChargeMemory(cancel, sizeof(std::pair<NodeId, NodeId>))) {
         return false;
@@ -118,44 +88,6 @@ bool EvalRpqRange(const Expander& expand, const Nfa& nfa, NodeId lo, NodeId hi,
     });
   }
   return !HasStopped(cancel);
-}
-
-template <typename Expander>
-std::vector<std::pair<NodeId, NodeId>> EvalRpqAll(
-    const Expander& expand, const Nfa& nfa, const CancellationToken* cancel) {
-  std::vector<std::pair<NodeId, NodeId>> result;
-  if (EvalRpqRange(expand, nfa, 0, static_cast<NodeId>(expand.NumNodes()),
-                   cancel, &result)) {
-    std::sort(result.begin(), result.end());
-  }
-  return result;
-}
-
-template <typename Expander>
-std::vector<NodeId> EvalRpqFromImpl(const Expander& expand, const Nfa& nfa,
-                                    NodeId u, const CancellationToken* cancel) {
-  std::vector<NodeId> result;
-  ProductBfsFrom(expand, nfa, u, cancel, [&](NodeId v) {
-    if (!ChargeMemory(cancel, sizeof(NodeId))) return false;
-    result.push_back(v);
-    return true;
-  });
-  if (!HasStopped(cancel)) std::sort(result.begin(), result.end());
-  return result;
-}
-
-template <typename Expander>
-bool EvalRpqPairImpl(const Expander& expand, const Nfa& nfa, NodeId u,
-                     NodeId v, const CancellationToken* cancel) {
-  bool found = false;
-  ProductBfsFrom(expand, nfa, u, cancel, [&](NodeId reached) {
-    if (reached == v) {
-      found = true;
-      return false;
-    }
-    return true;
-  });
-  return found;
 }
 
 // Shared state of one parallel evaluation. Owned by shared_ptr so a helper
@@ -193,9 +125,8 @@ struct ParallelRpqState {
     NodeId lo = static_cast<NodeId>(shard * shard_size);
     NodeId hi = static_cast<NodeId>(
         std::min<size_t>((shard + 1) * shard_size, s->NumNodes()));
-    SnapshotExpander expand{*s};
     if (parent == nullptr) {
-      EvalRpqRange(expand, *nfa, lo, hi, nullptr, &results[shard]);
+      EvalRpqRange(*s, *nfa, lo, hi, nullptr, &results[shard]);
       return;
     }
     // Fork: the shard runs against a private copy of the parent context
@@ -203,7 +134,7 @@ struct ParallelRpqState {
     // the consumption delta and any stop cause on merge, first cause wins.
     QueryContext shard_ctx(*parent);
     BudgetReport base = shard_ctx.Report();
-    EvalRpqRange(expand, *nfa, lo, hi, &shard_ctx, &results[shard]);
+    EvalRpqRange(*s, *nfa, lo, hi, &shard_ctx, &results[shard]);
     parent->MergeShard(shard_ctx, base);
   }
 
@@ -219,42 +150,40 @@ constexpr size_t kMinParallelNodes = 128;
 
 }  // namespace
 
-std::vector<std::pair<NodeId, NodeId>> EvalRpq(const EdgeLabeledGraph& g,
-                                               const Nfa& nfa,
-                                               const CancellationToken* cancel) {
-  return EvalRpqAll(GraphExpander{g}, nfa, cancel);
-}
-
-std::vector<std::pair<NodeId, NodeId>> EvalRpq(const EdgeLabeledGraph& g,
-                                               const Regex& regex,
-                                               const CancellationToken* cancel) {
-  return EvalRpq(g, Nfa::FromRegex(regex, g), cancel);
-}
-
 std::vector<std::pair<NodeId, NodeId>> EvalRpq(const GraphSnapshot& s,
                                                const Nfa& nfa,
                                                const CancellationToken* cancel) {
-  return EvalRpqAll(SnapshotExpander{s}, nfa, cancel);
-}
-
-std::vector<NodeId> EvalRpqFrom(const EdgeLabeledGraph& g, const Nfa& nfa,
-                                NodeId u, const CancellationToken* cancel) {
-  return EvalRpqFromImpl(GraphExpander{g}, nfa, u, cancel);
+  std::vector<std::pair<NodeId, NodeId>> result;
+  if (EvalRpqRange(s, nfa, 0, static_cast<NodeId>(s.NumNodes()), cancel,
+                   &result)) {
+    std::sort(result.begin(), result.end());
+  }
+  return result;
 }
 
 std::vector<NodeId> EvalRpqFrom(const GraphSnapshot& s, const Nfa& nfa,
                                 NodeId u, const CancellationToken* cancel) {
-  return EvalRpqFromImpl(SnapshotExpander{s}, nfa, u, cancel);
-}
-
-bool EvalRpqPair(const EdgeLabeledGraph& g, const Nfa& nfa, NodeId u, NodeId v,
-                 const CancellationToken* cancel) {
-  return EvalRpqPairImpl(GraphExpander{g}, nfa, u, v, cancel);
+  std::vector<NodeId> result;
+  ProductBfsFrom(s, nfa, u, cancel, [&](NodeId v) {
+    if (!ChargeMemory(cancel, sizeof(NodeId))) return false;
+    result.push_back(v);
+    return true;
+  });
+  if (!HasStopped(cancel)) std::sort(result.begin(), result.end());
+  return result;
 }
 
 bool EvalRpqPair(const GraphSnapshot& s, const Nfa& nfa, NodeId u, NodeId v,
                  const CancellationToken* cancel) {
-  return EvalRpqPairImpl(SnapshotExpander{s}, nfa, u, v, cancel);
+  bool found = false;
+  ProductBfsFrom(s, nfa, u, cancel, [&](NodeId reached) {
+    if (reached == v) {
+      found = true;
+      return false;
+    }
+    return true;
+  });
+  return found;
 }
 
 std::vector<std::pair<NodeId, NodeId>> EvalRpqParallel(

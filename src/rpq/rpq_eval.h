@@ -6,8 +6,6 @@
 
 #include "src/automata/nfa.h"
 #include "src/graph/csr.h"
-#include "src/graph/graph.h"
-#include "src/regex/ast.h"
 #include "src/util/cancellation.h"
 #include "src/util/thread_pool.h"
 
@@ -16,12 +14,9 @@ namespace gqzoo {
 /// RPQ evaluation by product-graph reachability (Section 6.2): polynomial
 /// time in |G| and |N_R|.
 ///
-/// Two adjacency substrates are supported:
-///  * `EdgeLabeledGraph` — the seed path: each NFA transition scans the
-///    node's full adjacency list and filters by label (O(deg(v)) per step).
-///  * `GraphSnapshot` — label-partitioned CSR: each transition iterates
-///    only the label slice it needs, O(deg_label(v)) per step (wildcards
-///    fall back to the full slice). Same results, same order.
+/// Every entry point runs over a `GraphSnapshot`: each NFA transition
+/// iterates only the label slice it needs, O(deg_label(v)) per step
+/// (wildcards take the node's full slice).
 ///
 /// All entry points accept an optional cooperative `CancellationToken`;
 /// when it trips mid-search the result is a (valid but incomplete) prefix —
@@ -32,26 +27,15 @@ namespace gqzoo {
 /// `[[R]]_G`: all node pairs `(u, v)` connected by a path whose edge-label
 /// word is in L(R). Result is sorted and duplicate-free (set semantics).
 std::vector<std::pair<NodeId, NodeId>> EvalRpq(
-    const EdgeLabeledGraph& g, const Nfa& nfa,
-    const CancellationToken* cancel = nullptr);
-std::vector<std::pair<NodeId, NodeId>> EvalRpq(
-    const EdgeLabeledGraph& g, const Regex& regex,
-    const CancellationToken* cancel = nullptr);
-std::vector<std::pair<NodeId, NodeId>> EvalRpq(
     const GraphSnapshot& s, const Nfa& nfa,
     const CancellationToken* cancel = nullptr);
 
 /// All `v` with `(u, v) ∈ [[R]]_G`: a single lazy BFS from `(u, q0)`.
-std::vector<NodeId> EvalRpqFrom(const EdgeLabeledGraph& g, const Nfa& nfa,
-                                NodeId u,
-                                const CancellationToken* cancel = nullptr);
 std::vector<NodeId> EvalRpqFrom(const GraphSnapshot& s, const Nfa& nfa,
                                 NodeId u,
                                 const CancellationToken* cancel = nullptr);
 
 /// Is `(u, v) ∈ [[R]]_G`? Early-exiting BFS.
-bool EvalRpqPair(const EdgeLabeledGraph& g, const Nfa& nfa, NodeId u, NodeId v,
-                 const CancellationToken* cancel = nullptr);
 bool EvalRpqPair(const GraphSnapshot& s, const Nfa& nfa, NodeId u, NodeId v,
                  const CancellationToken* cancel = nullptr);
 

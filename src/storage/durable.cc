@@ -7,7 +7,6 @@
 #include <filesystem>
 
 #include "src/graph/delta/merge.h"
-#include "src/storage/checkpoint.h"
 #include "src/storage/snapshot_format.h"
 #include "src/util/failpoint.h"
 
@@ -16,6 +15,12 @@ namespace gqzoo::storage {
 namespace {
 
 constexpr char kWalFileName[] = "wal.log";
+// Checkpoint files are snapshot-format files (snapshot_format.h) whose
+// META region carries the covered LSN: the durable base a crash recovers
+// from is also the image a restart can map in place. The codec is
+// id-faithful (labels and properties re-intern in id order), which the
+// crash harness relies on to compare recovered renders byte-for-byte. A
+// checkpoint covering lsn C pairs with a WAL holding records > C.
 constexpr char kCheckpointPrefix[] = "checkpoint-";
 
 struct CheckpointFile {
@@ -184,7 +189,7 @@ Result<DurableStore::Opened> DurableStore::Open(
   // Newest checkpoint that decodes wins; unreadable ones are warned about
   // and skipped (LSN continuity below catches the case where the skipped
   // one was load-bearing).
-  CheckpointData ckpt;
+  SnapshotCodec::DecodedSnapshot ckpt;
   bool have_ckpt = false;
   for (const CheckpointFile& cf : ckpts) {
     Result<std::string> bytes = ReadFileBytes(cf.path);
@@ -192,7 +197,8 @@ Result<DurableStore::Opened> DurableStore::Open(
       AppendWarning(&info.warning, cf.path + ": " + bytes.error().message());
       continue;
     }
-    Result<CheckpointData> d = DecodeCheckpoint(bytes.value());
+    Result<SnapshotCodec::DecodedSnapshot> d =
+        SnapshotCodec::DecodeToPlain(bytes.value());
     if (!d.ok()) {
       AppendWarning(&info.warning, cf.path + ": " + d.error().message());
       continue;
@@ -300,7 +306,7 @@ Result<bool> DurableStore::WriteCheckpointImpl(
     const PropertyGraph& base, uint64_t covered_lsn,
     const std::vector<WalRecord>& residual) {
   // 1. Checkpoint: write-temp → fsync → rename → fsync(dir).
-  std::string image = EncodeCheckpoint(base, covered_lsn);
+  std::string image = SnapshotCodec::EncodeSnapshot(base, covered_lsn);
   std::string final_path =
       options_.dir + "/" + kCheckpointPrefix + std::to_string(covered_lsn);
   std::string tmp_path = final_path + ".tmp";

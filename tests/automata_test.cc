@@ -164,6 +164,14 @@ struct EquivCase {
   bool equivalent;
 };
 
+// Prints the case by value: gtest's default dump of the raw bytes would put
+// the string addresses and the padding after `equivalent`, both of which
+// vary from build to build, into the test name.
+void PrintTo(const EquivCase& c, std::ostream* os) {
+  *os << "{\"" << c.lhs << "\", \"" << c.rhs << "\", "
+      << (c.equivalent ? "true" : "false") << "}";
+}
+
 class EquivalenceTest : public ::testing::TestWithParam<EquivCase> {};
 
 TEST_P(EquivalenceTest, MatchesExpectation) {
@@ -255,7 +263,7 @@ TEST(CountingTest, PathCountingOnParallelChain) {
     EdgeLabeledGraph g = ParallelChain(n);
     Nfa nfa = Nfa::FromRegex(*Rx("a*"), g);
     ASSERT_FALSE(IsAmbiguous(nfa));
-    BigUint count = CountRunsOnPaths(g, nfa, *g.FindNode("s"),
+    BigUint count = CountRunsOnPaths(GraphSnapshot(g), nfa, *g.FindNode("s"),
                                      *g.FindNode("t"), n + 5);
     EXPECT_EQ(count.ToString(), BigUint(uint64_t{1} << n).ToString())
         << "n=" << n;
@@ -266,7 +274,7 @@ TEST(CountingTest, AmbiguousAutomatonOvercountsPaths) {
   EdgeLabeledGraph g = ParallelChain(3);
   Nfa ambiguous = Nfa::FromRegex(*Rx("a* a*"), g);
   ASSERT_TRUE(IsAmbiguous(ambiguous));
-  BigUint runs = CountRunsOnPaths(g, ambiguous, *g.FindNode("s"),
+  BigUint runs = CountRunsOnPaths(GraphSnapshot(g), ambiguous, *g.FindNode("s"),
                                   *g.FindNode("t"), 10);
   // 8 paths, each with 4 runs (split points 0..3).
   EXPECT_EQ(runs.ToString(), "32");

@@ -18,7 +18,7 @@ TEST(GraphStatisticsTest, CountsPerLabel) {
   g.AddEdge(a, b, "x");
   g.AddEdge(a, c, "x");
   g.AddEdge(b, c, "y");
-  GraphStatistics stats(g);
+  GraphStatistics stats{GraphSnapshot(g)};
   LabelId x = *g.FindLabel("x");
   LabelId y = *g.FindLabel("y");
   EXPECT_EQ(stats.EdgeCount(x), 2u);
@@ -35,10 +35,10 @@ TEST(SynopsisEstimateTest, ExactOnSingleLabelChainEdges) {
   // On a chain, `a` has exactly n answers; the synopsis predicts
   // n · (n/(n+1)) ≈ n.
   EdgeLabeledGraph g = Chain(9);  // 10 nodes, 9 edges
-  GraphStatistics stats(g);
+  GraphStatistics stats{GraphSnapshot(g)};
   Nfa nfa = Nfa::FromRegex(*Rx("a"), g);
   double estimate = EstimateRpqCardinalitySynopsis(stats, nfa);
-  double exact = static_cast<double>(EvalRpq(g, nfa).size());
+  double exact = static_cast<double>(EvalRpq(GraphSnapshot(g), nfa).size());
   EXPECT_NEAR(estimate, exact, exact * 0.2);
 }
 
@@ -46,17 +46,17 @@ TEST(SynopsisEstimateTest, SaturatesOnStar) {
   // Transfer* on a clique saturates to n² — the estimate must not exceed
   // n² and should be close to it.
   EdgeLabeledGraph g = Clique(6);
-  GraphStatistics stats(g);
+  GraphStatistics stats{GraphSnapshot(g)};
   Nfa nfa = Nfa::FromRegex(*Rx("a*"), g);
   double estimate = EstimateRpqCardinalitySynopsis(stats, nfa);
   EXPECT_LE(estimate, 36.0 + 1e-9);
   EXPECT_GE(estimate, 30.0);
-  EXPECT_EQ(EvalRpq(g, nfa).size(), 36u);
+  EXPECT_EQ(EvalRpq(GraphSnapshot(g), nfa).size(), 36u);
 }
 
 TEST(SynopsisEstimateTest, EmptyForAbsentLabels) {
   EdgeLabeledGraph g = Chain(5);
-  GraphStatistics stats(g);
+  GraphStatistics stats{GraphSnapshot(g)};
   Nfa nfa = Nfa::FromRegex(*Rx("zzz"), g);
   EXPECT_DOUBLE_EQ(EstimateRpqCardinalitySynopsis(stats, nfa), 0.0);
 }
@@ -67,16 +67,18 @@ TEST(SamplingEstimateTest, ExactWhenSamplingEveryNode) {
   // single sample is already exact).
   EdgeLabeledGraph g = Cycle(8);
   Nfa nfa = Nfa::FromRegex(*Rx("a a"), g);
-  double estimate = EstimateRpqCardinalitySampling(g, nfa, 1, 42);
+  double estimate =
+      EstimateRpqCardinalitySampling(GraphSnapshot(g), nfa, 1, 42);
   EXPECT_DOUBLE_EQ(estimate, 8.0);  // each node reaches exactly one node
-  EXPECT_EQ(EvalRpq(g, nfa).size(), 8u);
+  EXPECT_EQ(EvalRpq(GraphSnapshot(g), nfa).size(), 8u);
 }
 
 TEST(SamplingEstimateTest, ReasonableOnRandomGraphs) {
   EdgeLabeledGraph g = RandomGraph(64, 192, 2, 7);
   Nfa nfa = Nfa::FromRegex(*Rx("a b"), g);
-  double exact = static_cast<double>(EvalRpq(g, nfa).size());
-  double estimate = EstimateRpqCardinalitySampling(g, nfa, 64, 11);
+  double exact = static_cast<double>(EvalRpq(GraphSnapshot(g), nfa).size());
+  double estimate =
+      EstimateRpqCardinalitySampling(GraphSnapshot(g), nfa, 64, 11);
   if (exact > 0) {
     EXPECT_GT(estimate, exact * 0.3);
     EXPECT_LT(estimate, exact * 3.0);
@@ -86,10 +88,10 @@ TEST(SamplingEstimateTest, ReasonableOnRandomGraphs) {
 TEST(SynopsisEstimateTest, WithinOrderOfMagnitudeOnRandomGraphs) {
   for (uint64_t seed : {21, 22, 23}) {
     EdgeLabeledGraph g = RandomGraph(48, 144, 2, seed);
-    GraphStatistics stats(g);
+    GraphStatistics stats{GraphSnapshot(g)};
     for (const char* regex : {"a", "a b", "a|b", "a b a"}) {
       Nfa nfa = Nfa::FromRegex(*Rx(regex), g);
-      double exact = static_cast<double>(EvalRpq(g, nfa).size());
+      double exact = static_cast<double>(EvalRpq(GraphSnapshot(g), nfa).size());
       double estimate = EstimateRpqCardinalitySynopsis(stats, nfa);
       if (exact > 10) {
         EXPECT_GT(estimate, exact / 10.0) << regex << " seed " << seed;

@@ -9,9 +9,13 @@
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
+#include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
+
+using testing_util::SnapshotEvalPatternPaths;
+using testing_util::SnapshotRunCoreGql;
 
 CorePatternPtr Pat(const std::string& text) {
   Result<CorePatternPtr> p = ParseCorePattern(text);
@@ -86,15 +90,15 @@ TEST(CorePatternParserTest, Errors) {
 TEST(CorePatternEvalTest, NodeEdgeAndLabels) {
   PropertyGraph g = Figure3Graph();
   Result<std::vector<CorePairRow>> nodes =
-      EvalPatternPairs(g, *Pat("(x:Account)"));
+      EvalPatternPairs(g, *Pat("(x:Account)"), GraphSnapshot(g));
   ASSERT_TRUE(nodes.ok());
   EXPECT_EQ(nodes.value().size(), 6u);
   Result<std::vector<CorePairRow>> edges =
-      EvalPatternPairs(g, *Pat("-[e:Transfer]->"));
+      EvalPatternPairs(g, *Pat("-[e:Transfer]->"), GraphSnapshot(g));
   ASSERT_TRUE(edges.ok());
   EXPECT_EQ(edges.value().size(), 10u);
   Result<std::vector<CorePairRow>> none =
-      EvalPatternPairs(g, *Pat("(x:Nothing)"));
+      EvalPatternPairs(g, *Pat("(x:Nothing)"), GraphSnapshot(g));
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().empty());
 }
@@ -103,7 +107,7 @@ TEST(CorePatternEvalTest, ConsecutiveNodeVariablesJoinOnSameNode) {
   // Example 1's parenthetical: (u)(v) must match the same node.
   PropertyGraph g = Figure3Graph();
   Result<std::vector<CorePairRow>> rows =
-      EvalPatternPairs(g, *Pat("(u)(v)"));
+      EvalPatternPairs(g, *Pat("(u)(v)"), GraphSnapshot(g));
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), g.NumNodes());
   for (const CorePairRow& r : rows.value()) {
@@ -120,7 +124,7 @@ TEST(CorePatternEvalTest, Example1RepeatedEdgeVariableMeansSelfJoin) {
   g.AddEdge(u, u, "a", "loop");
   g.AddEdge(u, v, "a", "straight");
   Result<std::vector<CorePairRow>> rows = EvalPatternPairs(
-      g, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"));
+      g, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"), GraphSnapshot(g));
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(g.ObjectName(rows.value()[0].mu.at("z")), "loop");
@@ -139,14 +143,15 @@ TEST(CorePatternEvalTest, Example1RepetitionIsNotSelfJoin) {
   g.AddEdge(v, w, "a");
   CorePatternPtr rep = Pat("(x) ( ()-[z:a]->() ){2} (y)");
   EXPECT_EQ(rep->FreeVariables(), (std::vector<std::string>{"x", "y"}));
-  Result<std::vector<CorePairRow>> rows = EvalPatternPairs(g, *rep);
+  Result<std::vector<CorePairRow>> rows =
+      EvalPatternPairs(g, *rep, GraphSnapshot(g));
   ASSERT_TRUE(rows.ok());
   ASSERT_EQ(rows.value().size(), 1u);
   EXPECT_EQ(rows.value()[0].src, u);
   EXPECT_EQ(rows.value()[0].tgt, w);
   // The join-variant matches nothing here (no self-loop).
   Result<std::vector<CorePairRow>> join_rows = EvalPatternPairs(
-      g, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"));
+      g, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"), GraphSnapshot(g));
   ASSERT_TRUE(join_rows.ok());
   EXPECT_TRUE(join_rows.value().empty());
 }
@@ -154,7 +159,8 @@ TEST(CorePatternEvalTest, Example1RepetitionIsNotSelfJoin) {
 TEST(CorePatternEvalTest, RepetitionBounds) {
   PropertyGraph g = ToPropertyGraph(Chain(4));  // u1 → ... → u5
   auto count = [&](const std::string& pattern) {
-    Result<std::vector<CorePairRow>> rows = EvalPatternPairs(g, *Pat(pattern));
+    Result<std::vector<CorePairRow>> rows =
+        EvalPatternPairs(g, *Pat(pattern), GraphSnapshot(g));
     EXPECT_TRUE(rows.ok());
     return rows.value().size();
   };
@@ -170,11 +176,11 @@ TEST(CorePatternEvalTest, RepetitionBounds) {
 TEST(CorePatternEvalTest, RepetitionOverCyclesTerminates) {
   PropertyGraph g = ToPropertyGraph(Cycle(3));
   Result<std::vector<CorePairRow>> rows =
-      EvalPatternPairs(g, *Pat("(x) ->* (y)"));
+      EvalPatternPairs(g, *Pat("(x) ->* (y)"), GraphSnapshot(g));
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 9u);  // complete
   Result<std::vector<CorePairRow>> exact =
-      EvalPatternPairs(g, *Pat("(x) ->{5} (y)"));
+      EvalPatternPairs(g, *Pat("(x) ->{5} (y)"), GraphSnapshot(g));
   ASSERT_TRUE(exact.ok());
   EXPECT_EQ(exact.value().size(), 3u);  // rotation by 5 ≡ 2
 }
@@ -183,11 +189,13 @@ TEST(CorePatternEvalTest, PiIncIncreasingNodeValues) {
   // π_inc from Section 5.1: increasing node property along the path.
   PropertyGraph inc = ValueChain({1, 2, 3, 4}, {0, 0, 0});
   CorePatternPtr pi_inc = Pat("(x) ( ((u)->(v)) WHERE u.k < v.k )* (y)");
-  Result<std::vector<CorePairRow>> rows = EvalPatternPairs(inc, *pi_inc);
+  Result<std::vector<CorePairRow>> rows =
+      EvalPatternPairs(inc, *pi_inc, GraphSnapshot(inc));
   ASSERT_TRUE(rows.ok());
   EXPECT_EQ(rows.value().size(), 10u);  // all i ≤ j pairs
   PropertyGraph dec = ValueChain({1, 3, 2, 4}, {0, 0, 0});
-  Result<std::vector<CorePairRow>> rows2 = EvalPatternPairs(dec, *pi_inc);
+  Result<std::vector<CorePairRow>> rows2 =
+      EvalPatternPairs(dec, *pi_inc, GraphSnapshot(dec));
   ASSERT_TRUE(rows2.ok());
   // n1 ⇝ n2 is blocked by 3 > 2: reachable pairs are the increasing runs.
   std::set<std::pair<NodeId, NodeId>> got;
@@ -204,7 +212,8 @@ TEST(CorePatternEvalTest, Prop23NaiveEdgePatternAcceptsCounterexample) {
   PropertyGraph g = ValueChain({0, 0, 0, 0, 0}, {3, 4, 1, 2});
   CorePatternPtr naive =
       Pat("(x) ( ( ()-[u]->()-[v]->() ) WHERE u.k < v.k )* (y)");
-  Result<std::vector<CorePairRow>> rows = EvalPatternPairs(g, *naive);
+  Result<std::vector<CorePairRow>> rows =
+      EvalPatternPairs(g, *naive, GraphSnapshot(g));
   ASSERT_TRUE(rows.ok());
   std::set<std::pair<NodeId, NodeId>> got;
   for (const CorePairRow& r : rows.value()) got.insert({r.src, r.tgt});
@@ -219,8 +228,9 @@ TEST(CorePathEvalTest, PathsMatchPairsProjection) {
        {"(x) -> (y)", "(x) ->* (y)", "(x) ( (u)->(v) )? (y)",
         "(x) (->|->->) (y)"}) {
     CorePatternPtr p = Pat(text);
-    Result<std::vector<CorePairRow>> pairs = EvalPatternPairs(g, *p);
-    Result<CorePathEvalResult> paths = EvalPatternPaths(g, *p);
+    Result<std::vector<CorePairRow>> pairs =
+        EvalPatternPairs(g, *p, GraphSnapshot(g));
+    Result<CorePathEvalResult> paths = SnapshotEvalPatternPaths(g, *p);
     ASSERT_TRUE(pairs.ok());
     ASSERT_TRUE(paths.ok());
     EXPECT_FALSE(paths.value().truncated);
@@ -238,7 +248,7 @@ TEST(CorePathEvalTest, PathsMatchPairsProjection) {
 TEST(CorePathEvalTest, PathsAreNodeToNode) {
   PropertyGraph g = Figure3Graph();
   Result<CorePathEvalResult> paths =
-      EvalPatternPaths(g, *Pat("-[e:Transfer]->"));
+      SnapshotEvalPatternPaths(g, *Pat("-[e:Transfer]->"));
   ASSERT_TRUE(paths.ok());
   for (const CorePathRow& r : paths.value().rows) {
     EXPECT_TRUE(r.path.StartsWithNode());
@@ -252,7 +262,7 @@ TEST(CorePathEvalTest, CyclicStarTruncates) {
   CorePathEvalOptions options;
   options.max_path_length = 6;
   Result<CorePathEvalResult> paths =
-      EvalPatternPaths(g, *Pat("(x) ->* (y)"), options);
+      SnapshotEvalPatternPaths(g, *Pat("(x) ->* (y)"), options);
   ASSERT_TRUE(paths.ok());
   EXPECT_TRUE(paths.value().truncated);
   for (const CorePathRow& r : paths.value().rows) {
@@ -327,13 +337,13 @@ TEST(CoreQueryTest, Section413ExampleQuery) {
   g.AddEdge(other, c1, "a");
   g.AddEdge(other, c3, "a");
 
-  Result<CoreQueryResult> r = RunCoreGql(
+  Result<CoreQueryResult> r = SnapshotRunCoreGql(
       g,
       "MATCH (x)->(x1), (x)->(x2) "
       "WHERE NOT x1.p = x2.p OR x1.p = x2.p RETURN x, x.s, x1, x2");
   ASSERT_TRUE(r.ok()) << r.error().message();
   // Do it properly through the algebra, as in the paper.
-  Result<CoreQueryResult> q = RunCoreGql(
+  Result<CoreQueryResult> q = SnapshotRunCoreGql(
       g,
       "MATCH (x)->(x1), (x)->(x2) WHERE x1.p = x2.p RETURN x.s, x1, x2");
   ASSERT_TRUE(q.ok());
@@ -356,7 +366,7 @@ TEST(CoreQueryTest, ReturnPropertyDropsIncompatibleRows) {
   NodeId a = g.AddNode("a", "N");
   g.SetProperty(ObjectRef::Node(a), "k", Value(1));
   g.AddNode("b", "N");  // no k
-  Result<CoreQueryResult> r = RunCoreGql(g, "MATCH (x) RETURN x, x.k");
+  Result<CoreQueryResult> r = SnapshotRunCoreGql(g, "MATCH (x) RETURN x, x.k");
   ASSERT_TRUE(r.ok()) << r.error().message();
   ASSERT_EQ(r.value().relation.NumRows(), 1u);
   EXPECT_EQ(CoreCellToString(g.skeleton(), r.value().relation.rows()[0][0]),
@@ -372,7 +382,8 @@ TEST(CoreQueryTest, PathBindingAndExcept) {
   const std::string violating =
       "MATCH p = (s) ->* ( ( ()-[u]->()-[v]->() ) WHERE u.k >= v.k ) ->* (t) "
       "RETURN p";
-  Result<CoreQueryResult> diff = RunCoreGql(g, all + " EXCEPT " + violating);
+  Result<CoreQueryResult> diff =
+      SnapshotRunCoreGql(g, all + " EXCEPT " + violating);
   ASSERT_TRUE(diff.ok()) << diff.error().message();
   // Increasing-edge-value paths on 3,4,1,2: all length ≤ 1 paths, the (3,4)
   // prefix pair, and the (1,2) suffix pair: 5 + 4 + 2 = 11.
@@ -390,13 +401,13 @@ TEST(CoreQueryTest, PathBindingAndExcept) {
 
 TEST(CoreQueryTest, UnionAndIntersect) {
   PropertyGraph g = Figure3Graph();
-  Result<CoreQueryResult> u = RunCoreGql(
+  Result<CoreQueryResult> u = SnapshotRunCoreGql(
       g,
       "MATCH (x) WHERE x.owner = 'Mike' RETURN x "
       "UNION MATCH (x) WHERE x.owner = 'Megan' RETURN x");
   ASSERT_TRUE(u.ok());
   EXPECT_EQ(u.value().relation.NumRows(), 2u);
-  Result<CoreQueryResult> i = RunCoreGql(
+  Result<CoreQueryResult> i = SnapshotRunCoreGql(
       g,
       "MATCH (x:Account) RETURN x "
       "INTERSECT MATCH (x) WHERE x.owner = 'Mike' RETURN x");
@@ -410,7 +421,7 @@ TEST(CoreQueryTest, ParseErrors) {
   EXPECT_FALSE(ParseCoreGqlQuery("MATCH (x) RETURN").ok());
   EXPECT_FALSE(ParseCoreGqlQuery("MATCH (x) RETURN x FOO").ok());
   PropertyGraph g = Figure3Graph();
-  EXPECT_FALSE(RunCoreGql(g, "MATCH (x) RETURN y").ok());
+  EXPECT_FALSE(SnapshotRunCoreGql(g, "MATCH (x) RETURN y").ok());
 }
 
 TEST(CorePatternRoundTripTest, ToStringReparses) {

@@ -11,6 +11,8 @@
 namespace gqzoo {
 namespace {
 
+using testing_util::SnapshotEvalCrpq;
+
 Crpq Q(const std::string& text,
        RegexDialect dialect = RegexDialect::kPlain) {
   Result<Crpq> q = ParseCrpq(text, dialect);
@@ -77,7 +79,7 @@ TEST(CrpqEvalTest, Example13FirstQuery) {
   EdgeLabeledGraph g = Figure2Graph();
   Crpq q = Q("q1(x1, x2, x3) := Transfer(x1, x2), Transfer(x1, x3), "
              "Transfer(x2, x3)");
-  Result<CrpqResult> r = EvalCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
   ASSERT_TRUE(r.ok()) << r.error().message();
   EXPECT_EQ(Rows(g, r.value()),
             (std::set<std::string>{"a3,a2,a4", "a6,a3,a5"}));
@@ -89,7 +91,7 @@ TEST(CrpqEvalTest, Example13SecondQuery) {
   EdgeLabeledGraph g = Figure2Graph();
   Crpq q = Q("q2(x, x1, x2) := owner(y, x1), isBlocked(y, x2), "
              "(Transfer Transfer?)(x, y)");
-  Result<CrpqResult> r = EvalCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
   ASSERT_TRUE(r.ok()) << r.error().message();
   std::set<std::string> rows = Rows(g, r.value());
   // The example's witness: (a4, Rebecca, no) via the 2-transfer path
@@ -106,7 +108,7 @@ TEST(CrpqEvalTest, Example17ShortestGroupedByEndpoints) {
   EdgeLabeledGraph g = Figure2Graph();
   Crpq q = Q("q(x1, x2, z) := owner(y1, x1), owner(y2, x2), "
              "shortest (Transfer^z)+ (y1, y2)");
-  Result<CrpqResult> r = EvalCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
   ASSERT_TRUE(r.ok()) << r.error().message();
   std::set<std::string> rows = Rows(g, r.value());
   // Example 17's two spotlighted answers.
@@ -120,22 +122,22 @@ TEST(CrpqEvalTest, Example17ShortestGroupedByEndpoints) {
 TEST(CrpqEvalTest, ConstantEndpoints) {
   EdgeLabeledGraph g = Figure2Graph();
   Crpq q = Q("q(x) := Transfer(@a3, x)");
-  Result<CrpqResult> r = EvalCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(Rows(g, r.value()), (std::set<std::string>{"a2", "a4", "a5"}));
   Crpq q2 = Q("q(x) := Transfer(x, @a5), owner(x, y)");
-  Result<CrpqResult> r2 = EvalCrpq(g, q2);
+  Result<CrpqResult> r2 = SnapshotEvalCrpq(g, q2);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(Rows(g, r2.value()), (std::set<std::string>{"a3", "a6"}));
   // Unknown constant is an error.
-  EXPECT_FALSE(EvalCrpq(g, Q("q(x) := Transfer(@nope, x)")).ok());
+  EXPECT_FALSE(SnapshotEvalCrpq(g, Q("q(x) := Transfer(@nope, x)")).ok());
 }
 
 TEST(CrpqEvalTest, SelfJoinEndpoints) {
   // R(x, x) matches self-loops of the virtual relation.
   EdgeLabeledGraph g = Figure2Graph();
   Crpq q = Q("q(x) := (Transfer Transfer Transfer)(x, x)");
-  Result<CrpqResult> r = EvalCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
   ASSERT_TRUE(r.ok());
   // The 3-cycle a3 -t7-> a5 -t4-> a1 -t1-> a3 and the 3-cycle
   // a3 -t6-> a4 -t9-> a6 -t8-> a3 (and rotations).
@@ -155,8 +157,8 @@ TEST(CrpqEvalTest, ModesWithoutListVariablesAreVacuous) {
   EdgeLabeledGraph g = Cycle(3);
   Crpq all = Q("q(x, y) := all (a a a)(x, y)");
   Crpq simple = Q("q(x, y) := simple (a a a)(x, y)");
-  Result<CrpqResult> r_all = EvalCrpq(g, all);
-  Result<CrpqResult> r_simple = EvalCrpq(g, simple);
+  Result<CrpqResult> r_all = SnapshotEvalCrpq(g, all);
+  Result<CrpqResult> r_simple = SnapshotEvalCrpq(g, simple);
   ASSERT_TRUE(r_all.ok());
   ASSERT_TRUE(r_simple.ok());
   EXPECT_EQ(Rows(g, r_all.value()), Rows(g, r_simple.value()));
@@ -168,12 +170,12 @@ TEST(CrpqEvalTest, SimpleModeWithListVariableExcludesCyclicWitnesses) {
   // 3-cycle (length-3 loop) is not simple, so no bindings survive.
   EdgeLabeledGraph g = Cycle(3);
   Crpq q = Q("q(x, z) := simple (a^z a a)(x, x)");
-  Result<CrpqResult> r = EvalCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().rows.empty());
   // `trail` admits it (no repeated edges).
   Crpq qt = Q("q(x, z) := trail (a^z a a)(x, x)");
-  Result<CrpqResult> rt = EvalCrpq(g, qt);
+  Result<CrpqResult> rt = SnapshotEvalCrpq(g, qt);
   ASSERT_TRUE(rt.ok());
   EXPECT_EQ(rt.value().rows.size(), 3u);
 }
@@ -184,7 +186,7 @@ TEST(CrpqEvalTest, AllModeOnCyclicGraphTruncates) {
   CrpqEvalOptions options;
   options.max_bindings_per_pair = 50;
   options.max_path_length = 30;
-  Result<CrpqResult> r = EvalCrpq(g, q, options);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q, options);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().truncated);
   EXPECT_FALSE(r.value().rows.empty());
@@ -195,7 +197,7 @@ TEST(CrpqEvalTest, JoinAcrossAtomsIsConsistent) {
   for (uint64_t seed : {41, 42, 43}) {
     EdgeLabeledGraph g = RandomGraph(6, 12, 2, seed);
     Crpq q = Q("q(x, y, w) := a(x, y), b(y, w), a(x, w)");
-    Result<CrpqResult> r = EvalCrpq(g, q);
+    Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
     ASSERT_TRUE(r.ok());
     std::set<std::string> expected;
     std::optional<LabelId> la = g.FindLabel("a");
@@ -221,7 +223,7 @@ TEST(CrpqEvalTest, JoinAcrossAtomsIsConsistent) {
 TEST(CrpqEvalTest, EmptyConjunctionShortCircuits) {
   EdgeLabeledGraph g = Figure2Graph();
   Crpq q = Q("q(x) := Transfer(x, y), nonexistent(y, w)");
-  Result<CrpqResult> r = EvalCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalCrpq(g, q);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().rows.empty());
 }

@@ -1,11 +1,13 @@
 // GraphSnapshot (label-indexed CSR) coverage: slice primitives against
-// brute-force adjacency filtering, differential tests pinning every
-// language's snapshot-backed evaluation to the seed scan-based evaluation,
-// the 64-bit product-state id regression, and parallel RPQ sharding.
+// brute-force adjacency filtering, differential tests pinning the
+// snapshot-backed evaluators to the definitional reference
+// (src/fuzz/reference.h), the 64-bit product-state id regression, and
+// parallel RPQ sharding.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <random>
 #include <set>
 #include <string>
 #include <vector>
@@ -18,6 +20,7 @@
 #include "src/crpq/eval.h"
 #include "src/crpq/modes.h"
 #include "src/datatest/dl_eval.h"
+#include "src/fuzz/reference.h"
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/csr.h"
 #include "src/graph/generators.h"
@@ -175,13 +178,10 @@ TEST(RpqOverflowRegressionTest, ProductIdsPastFourBillionDoNotAlias) {
   ASSERT_GT(static_cast<uint64_t>(g.NumNodes()) * nfa.num_states(),
             uint64_t{1} << 32);
 
-  std::vector<NodeId> reached = EvalRpqFrom(g, nfa, nodes[0]);
-  EXPECT_EQ(reached, (std::vector<NodeId>{nodes[65535]}));
-
   GraphSnapshot snap(g);
   EXPECT_EQ(EvalRpqFrom(snap, nfa, nodes[0]),
             (std::vector<NodeId>{nodes[65535]}));
-  EXPECT_TRUE(EvalRpqPair(g, nfa, nodes[0], nodes[65535]));
+  EXPECT_TRUE(EvalRpqPair(snap, nfa, nodes[0], nodes[65535]));
 }
 
 TEST(RpqOverflowRegressionTest, MaterializedProductPastLimitThrows) {
@@ -191,11 +191,16 @@ TEST(RpqOverflowRegressionTest, MaterializedProductPastLimitThrows) {
   for (size_t i = 0; i < 65536; ++i) g.AddNode("n" + std::to_string(i));
   Nfa nfa(65537);
   nfa.set_accepting(0, true);
-  EXPECT_THROW(ProductGraph(g, nfa), std::length_error);
+  GraphSnapshot snap(g);
+  EXPECT_THROW(ProductGraph(snap, nfa), std::length_error);
 }
 
 // ---------------------------------------------------------------------------
-// Differential: snapshot evaluation is byte-identical to the seed scans.
+// Differential: snapshot evaluation against the definitional reference.
+
+using fuzz::ReferenceCrpq;
+using fuzz::ReferenceModePaths;
+using fuzz::ReferenceRpq;
 
 struct DiffCase {
   uint64_t seed;
@@ -208,22 +213,28 @@ class SnapshotRpqDifferentialTest : public ::testing::TestWithParam<DiffCase> {
 TEST_P(SnapshotRpqDifferentialTest, AllFromPairAndParallelAgree) {
   EdgeLabeledGraph g = RandomGraph(60, 360, 8, GetParam().seed);
   GraphSnapshot snap(g);
-  Nfa nfa = Nfa::FromRegex(*Rx(GetParam().regex), g);
+  RegexPtr regex = Rx(GetParam().regex);
+  Nfa nfa = Nfa::FromRegex(*regex, g);
 
-  auto seed_pairs = EvalRpq(g, nfa);
-  EXPECT_EQ(EvalRpq(snap, nfa), seed_pairs);
+  const auto expected = ReferenceRpq(g, *regex);
+  EXPECT_EQ(EvalRpq(snap, nfa), expected);
 
   ThreadPool pool(3);
   ParallelRpqOptions parallel;
   parallel.pool = &pool;
-  EXPECT_EQ(EvalRpqParallel(snap, nfa, parallel), seed_pairs);
+  EXPECT_EQ(EvalRpqParallel(snap, nfa, parallel), expected);
   parallel.num_shards = 7;
-  EXPECT_EQ(EvalRpqParallel(snap, nfa, parallel), seed_pairs);
+  EXPECT_EQ(EvalRpqParallel(snap, nfa, parallel), expected);
 
   for (NodeId u = 0; u < g.NumNodes(); u += 9) {
-    EXPECT_EQ(EvalRpqFrom(snap, nfa, u), EvalRpqFrom(g, nfa, u));
+    std::vector<NodeId> from_u;
+    for (const auto& [src, tgt] : expected) {
+      if (src == u) from_u.push_back(tgt);
+    }
+    EXPECT_EQ(EvalRpqFrom(snap, nfa, u), from_u);
     for (NodeId v = 0; v < g.NumNodes(); v += 13) {
-      EXPECT_EQ(EvalRpqPair(snap, nfa, u, v), EvalRpqPair(g, nfa, u, v));
+      EXPECT_EQ(EvalRpqPair(snap, nfa, u, v),
+                std::binary_search(from_u.begin(), from_u.end(), v));
     }
   }
 }
@@ -236,24 +247,36 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{7, "~a* b"}, DiffCase{8, "(~a|b)*"}));
 
 TEST(SnapshotDifferentialTest, ProductGraphArcOrderMatchesSeed) {
+  // The label-sliced construction canonicalizes every node's arcs to the
+  // order of an edge-major scan (edges by id, then states, then each
+  // state's transitions), which truncated PMR enumeration depends on.
   for (uint64_t seed : {3u, 17u, 91u}) {
     EdgeLabeledGraph g = RandomGraph(25, 120, 6, seed);
     GraphSnapshot snap(g);
     for (const char* regex : {"a (b|c)*", "!{a} d*", "_ a"}) {
       Nfa nfa = Nfa::FromRegex(*Rx(regex), g);
-      ProductGraph from_graph(g, nfa);
-      ProductGraph from_snap(snap, nfa);
-      ASSERT_EQ(from_snap.num_product_nodes(), from_graph.num_product_nodes());
-      ASSERT_EQ(from_snap.NumArcs(), from_graph.NumArcs());
-      for (uint32_t id = 0; id < from_graph.num_product_nodes(); ++id) {
-        const auto& a = from_graph.Out(id);
-        const auto& b = from_snap.Out(id);
-        ASSERT_EQ(a.size(), b.size()) << regex << " node " << id;
-        for (size_t i = 0; i < a.size(); ++i) {
-          EXPECT_EQ(a[i].to, b[i].to);
-          EXPECT_EQ(a[i].edge, b[i].edge);
-          EXPECT_EQ(a[i].capture, b[i].capture);
-          EXPECT_EQ(a[i].reversed, b[i].reversed);
+      ProductGraph product(snap, nfa);
+      const uint32_t states = nfa.num_states();
+      std::vector<std::vector<ProductGraph::Arc>> expected(
+          g.NumNodes() * states);
+      for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+        for (uint32_t q = 0; q < states; ++q) {
+          for (const Nfa::Transition& t : nfa.Out(q)) {
+            if (!t.pred.Matches(g.EdgeLabel(e))) continue;
+            expected[g.Src(e) * states + q].push_back(
+                {g.Tgt(e) * states + t.to, e, t.capture, false});
+          }
+        }
+      }
+      ASSERT_EQ(product.num_product_nodes(), expected.size());
+      for (uint32_t id = 0; id < product.num_product_nodes(); ++id) {
+        const auto& got = product.Out(id);
+        ASSERT_EQ(got.size(), expected[id].size()) << regex << " node " << id;
+        for (size_t i = 0; i < got.size(); ++i) {
+          EXPECT_EQ(got[i].to, expected[id][i].to);
+          EXPECT_EQ(got[i].edge, expected[id][i].edge);
+          EXPECT_EQ(got[i].capture, expected[id][i].capture);
+          EXPECT_FALSE(got[i].reversed);
         }
       }
     }
@@ -263,8 +286,9 @@ TEST(SnapshotDifferentialTest, ProductGraphArcOrderMatchesSeed) {
 TEST(SnapshotDifferentialTest, ModeEnumerationsAgree) {
   EdgeLabeledGraph g = RandomGraph(12, 40, 3, 23);
   GraphSnapshot snap(g);
-  for (const char* regex : {"a b*", "(a|b) c?", "a{1,3}"}) {
-    Nfa nfa = Nfa::FromRegex(*Rx(regex), g);
+  for (const char* regex : {"a b*", "(a|b) c?", "a{1,3}", "a^z b* c^z"}) {
+    RegexPtr r = Rx(regex);
+    Nfa nfa = Nfa::FromRegex(*r, g);
     EnumerationLimits limits;
     limits.max_results = 100000;  // non-truncating: path sets must be equal
     limits.max_length = 8;
@@ -272,15 +296,15 @@ TEST(SnapshotDifferentialTest, ModeEnumerationsAgree) {
                           PathMode::kSimple, PathMode::kTrail}) {
       for (NodeId u = 0; u < g.NumNodes(); u += 3) {
         for (NodeId v = 0; v < g.NumNodes(); v += 4) {
-          EnumerationStats seed_stats, snap_stats;
-          auto seed_paths =
-              CollectModePaths(g, nfa, u, v, mode, limits, &seed_stats);
-          auto snap_paths =
-              CollectModePaths(snap, nfa, u, v, mode, limits, &snap_stats);
-          EXPECT_EQ(seed_paths, snap_paths)
-              << regex << " mode " << static_cast<int>(mode) << " " << u
-              << "->" << v;
-          EXPECT_EQ(seed_stats.truncated, snap_stats.truncated);
+          auto got = CollectModePaths(snap, nfa, u, v, mode, limits);
+          auto expected =
+              ReferenceModePaths(g, *r, u, v, mode, limits.max_length);
+          ASSERT_TRUE(expected.has_value());
+          // Only the length bound can cut here, and it keeps exactly the
+          // matching paths of at most max_length edges.
+          EXPECT_EQ(got, *expected)
+              << regex << " mode " << PathModeName(mode) << " " << u << "->"
+              << v;
         }
       }
     }
@@ -288,23 +312,46 @@ TEST(SnapshotDifferentialTest, ModeEnumerationsAgree) {
 }
 
 TEST(SnapshotDifferentialTest, KShortestOverSnapshotPmrAgrees) {
+  // The k shortest bindings are, length for length, the shortest of the
+  // reference's path set (ties may come in any order).
   EdgeLabeledGraph g = RandomGraph(15, 60, 3, 31);
   GraphSnapshot snap(g);
-  Nfa nfa = Nfa::FromRegex(*Rx("a (b|c)*"), g);
+  RegexPtr regex = Rx("a (b|c)*");
+  Nfa nfa = Nfa::FromRegex(*regex, g);
+  constexpr size_t kK = 5;
+  constexpr size_t kMaxLength = 6;
   for (NodeId u = 0; u < g.NumNodes(); u += 4) {
     for (NodeId v = 0; v < g.NumNodes(); v += 5) {
-      Pmr seed_pmr = BuildPmrBetween(g, nfa, u, v);
-      Pmr snap_pmr = BuildPmrBetween(snap, nfa, u, v);
-      EXPECT_EQ(KShortestPathBindings(seed_pmr, 5),
-                KShortestPathBindings(snap_pmr, 5));
+      std::vector<PathBinding> got =
+          KShortestPathBindings(BuildPmrBetween(snap, nfa, u, v), kK);
+      auto expected =
+          ReferenceModePaths(g, *regex, u, v, PathMode::kAll, kMaxLength);
+      ASSERT_TRUE(expected.has_value());
+      std::vector<size_t> got_lengths, expected_lengths;
+      for (const PathBinding& pb : got) {
+        if (pb.path.Length() > kMaxLength) continue;
+        got_lengths.push_back(pb.path.Length());
+        EXPECT_TRUE(std::binary_search(expected->begin(), expected->end(), pb));
+      }
+      for (const PathBinding& pb : *expected) {
+        expected_lengths.push_back(pb.path.Length());
+      }
+      std::sort(expected_lengths.begin(), expected_lengths.end());
+      expected_lengths.resize(std::min(expected_lengths.size(), kK));
+      while (!expected_lengths.empty() &&
+             expected_lengths.size() > got_lengths.size()) {
+        expected_lengths.pop_back();
+      }
+      EXPECT_EQ(got_lengths, expected_lengths) << u << "->" << v;
     }
   }
 }
 
-std::set<std::string> CrpqRows(const EdgeLabeledGraph& g,
-                               const CrpqResult& r) {
+std::set<std::string> CrpqRows(
+    const EdgeLabeledGraph& g,
+    const std::vector<std::vector<CrpqValue>>& rows) {
   std::set<std::string> out;
-  for (const auto& row : r.rows) {
+  for (const auto& row : rows) {
     std::string s;
     for (size_t i = 0; i < row.size(); ++i) {
       if (i > 0) s += ",";
@@ -322,79 +369,115 @@ TEST(SnapshotDifferentialTest, CrpqEvaluationAgrees) {
       "q(x, y) := a* (x, y)",
       "q(x, z) := (a|b)+ (x, y), c* (y, z)",
       "q(x) := a b (x, y), !{c} (y, x)",
+      "q(x, z) := shortest a^z b? (x, y), c (y, x)",
   };
   for (const char* text : queries) {
     Result<Crpq> q = ParseCrpq(text);
     ASSERT_TRUE(q.ok()) << text;
-    Result<CrpqResult> seed_r = EvalCrpq(g, q.value());
-    ASSERT_TRUE(seed_r.ok());
+    auto expected = ReferenceCrpq(g, q.value(), 1000);
+    ASSERT_TRUE(expected.has_value()) << text;
 
     CrpqEvalOptions options;
     options.snapshot = &snap;
     Result<CrpqResult> snap_r = EvalCrpq(g, q.value(), options);
     ASSERT_TRUE(snap_r.ok());
-    EXPECT_EQ(CrpqRows(g, seed_r.value()), CrpqRows(g, snap_r.value()));
-    EXPECT_EQ(seed_r.value().truncated, snap_r.value().truncated);
+    EXPECT_FALSE(snap_r.value().truncated);
+    EXPECT_EQ(CrpqRows(g, snap_r.value().rows), CrpqRows(g, *expected))
+        << text;
 
     ThreadPool pool(2);
     options.pool = &pool;
     options.num_shards = 5;
     Result<CrpqResult> par_r = EvalCrpq(g, q.value(), options);
     ASSERT_TRUE(par_r.ok());
-    EXPECT_EQ(CrpqRows(g, seed_r.value()), CrpqRows(g, par_r.value()));
+    EXPECT_EQ(CrpqRows(g, par_r.value().rows), CrpqRows(g, *expected))
+        << text;
   }
 }
 
 TEST(SnapshotDifferentialTest, DlCrpqEvaluationAgrees) {
+  // dl-CRPQs whose atoms only test labels mean the same as a plain CRPQ;
+  // a data filter can only remove answers.
   PropertyGraph g = Figure3Graph();
   GraphSnapshot snap(g);
-  const char* queries[] = {
-      "q(x, y) := ( ()[Transfer] )+ () (x, y)",
-      "q(x) := ( ()[Transfer][amount > 5000000] )+ () (x, y)",
-      "q(z) := trail ()[Transfer^z]( ()[Transfer^z] )+ () (@a3, @a3)",
-      "q(x, y) := shortest ( ()[Transfer] )+ () (x, y)",
+  struct Pair {
+    const char* dl;
+    const char* plain;
+    bool filtered;
   };
-  for (const char* text : queries) {
-    Result<Crpq> q = ParseCrpq(text, RegexDialect::kDl);
-    ASSERT_TRUE(q.ok()) << text << ": " << q.error().message();
-    Result<CrpqResult> seed_r = EvalDlCrpq(g, q.value());
-    ASSERT_TRUE(seed_r.ok()) << seed_r.error().message();
-
+  const Pair queries[] = {
+      {"q(x, y) := ( ()[Transfer] )+ () (x, y)",
+       "q(x, y) := Transfer+ (x, y)", false},
+      {"q(x) := ( ()[Transfer][amount > 5000000] )+ () (x, y)",
+       "q(x) := Transfer+ (x, y)", true},
+      {"q(z) := trail ()[Transfer^z]( ()[Transfer^z] )+ () (@a3, @a3)",
+       "q(z) := trail Transfer^z (Transfer^z)+ (@a3, @a3)", false},
+      {"q(x, y) := shortest ( ()[Transfer] )+ () (x, y)",
+       "q(x, y) := shortest Transfer+ (x, y)", false},
+  };
+  for (const Pair& pair : queries) {
+    Result<Crpq> q = ParseCrpq(pair.dl, RegexDialect::kDl);
+    ASSERT_TRUE(q.ok()) << pair.dl << ": " << q.error().message();
     DlCrpqEvalOptions options;
     options.snapshot = &snap;
-    Result<CrpqResult> snap_r = EvalDlCrpq(g, q.value(), options);
-    ASSERT_TRUE(snap_r.ok());
-    EXPECT_EQ(CrpqRows(g.skeleton(), seed_r.value()),
-              CrpqRows(g.skeleton(), snap_r.value()))
-        << text;
-    EXPECT_EQ(seed_r.value().truncated, snap_r.value().truncated);
+    Result<CrpqResult> got = EvalDlCrpq(g, q.value(), options);
+    ASSERT_TRUE(got.ok()) << got.error().message();
+    EXPECT_FALSE(got.value().truncated);
+
+    Result<Crpq> plain = ParseCrpq(pair.plain);
+    ASSERT_TRUE(plain.ok()) << pair.plain << ": " << plain.error().message();
+    // A trail has at most |E| edges.
+    auto expected = ReferenceCrpq(g.skeleton(), plain.value(), g.NumEdges());
+    ASSERT_TRUE(expected.has_value()) << pair.plain;
+    std::set<std::string> got_rows = CrpqRows(g.skeleton(), got.value().rows);
+    std::set<std::string> expected_rows = CrpqRows(g.skeleton(), *expected);
+    if (pair.filtered) {
+      EXPECT_FALSE(got_rows.empty()) << pair.dl;
+      EXPECT_TRUE(std::includes(expected_rows.begin(), expected_rows.end(),
+                                got_rows.begin(), got_rows.end()))
+          << pair.dl;
+    } else {
+      EXPECT_EQ(got_rows, expected_rows) << pair.dl;
+    }
   }
 }
 
 TEST(SnapshotDifferentialTest, CoreGqlQueriesAgree) {
+  // A snapshot of the property graph answers label-filtered node atoms
+  // from its node-label index; one of the bare skeleton has no such index
+  // and scans. Both must give the same relation.
   PropertyGraph g = RandomPropertyGraph(20, 60, 10, 53);
-  GraphSnapshot snap(g);
+  GraphSnapshot indexed(g);
+  GraphSnapshot scanned(g.skeleton());
+  ASSERT_TRUE(indexed.has_node_labels());
+  ASSERT_FALSE(scanned.has_node_labels());
   const char* queries[] = {
       "MATCH (x)-[e]->(y) RETURN x, e, y",
       "MATCH (x:N)->(y) WHERE x.k = y.k RETURN x, y",
       "MATCH (x)-[:a]->(y), (y)-[:a]->(z) RETURN x, z",
       "MATCH (x)-[e:a]->(y) WHERE e.k = 3 RETURN x, y",
+      "MATCH p = (x:N) ->{1,2} (y:N) RETURN p",
   };
   for (const char* text : queries) {
-    Result<CoreQueryResult> seed_r = RunCoreGql(g, text);
-    ASSERT_TRUE(seed_r.ok()) << text << ": " << seed_r.error().message();
     CoreQueryEvalOptions options;
-    options.path_options.snapshot = &snap;
-    Result<CoreQueryResult> snap_r = RunCoreGql(g, text, options);
-    ASSERT_TRUE(snap_r.ok());
-    EXPECT_EQ(seed_r.value().relation.ToString(g.skeleton()),
-              snap_r.value().relation.ToString(g.skeleton()))
+    options.path_options.snapshot = &indexed;
+    Result<CoreQueryResult> from_index = RunCoreGql(g, text, options);
+    ASSERT_TRUE(from_index.ok()) << text << ": "
+                                 << from_index.error().message();
+    options.path_options.snapshot = &scanned;
+    Result<CoreQueryResult> from_scan = RunCoreGql(g, text, options);
+    ASSERT_TRUE(from_scan.ok());
+    EXPECT_EQ(from_index.value().relation.ToString(g.skeleton()),
+              from_scan.value().relation.ToString(g.skeleton()))
         << text;
-    EXPECT_EQ(seed_r.value().truncated, snap_r.value().truncated);
+    EXPECT_EQ(from_index.value().truncated, from_scan.value().truncated);
   }
 }
 
 TEST(SnapshotDifferentialTest, GqlGroupPatternsAgree) {
+  // Group variables change what a match binds, not which paths match: the
+  // GQL group evaluation and the CoreGQL path evaluation of one pattern
+  // produce the same path set.
   PropertyGraph g = ToPropertyGraph(RandomGraph(12, 36, 2, 61));
   GraphSnapshot snap(g);
   const char* patterns[] = {
@@ -405,17 +488,23 @@ TEST(SnapshotDifferentialTest, GqlGroupPatternsAgree) {
   for (const char* text : patterns) {
     Result<CorePatternPtr> p = ParseCorePattern(text);
     ASSERT_TRUE(p.ok()) << text << ": " << p.error().message();
-    Result<GqlEvalResult> seed_r = EvalGqlGroupPattern(g, *p.value());
-    ASSERT_TRUE(seed_r.ok()) << seed_r.error().message();
     CorePathEvalOptions options;
     options.snapshot = &snap;
-    Result<GqlEvalResult> snap_r = EvalGqlGroupPattern(g, *p.value(), options);
-    ASSERT_TRUE(snap_r.ok());
-    ASSERT_EQ(seed_r.value().rows.size(), snap_r.value().rows.size()) << text;
-    for (size_t i = 0; i < seed_r.value().rows.size(); ++i) {
-      EXPECT_EQ(seed_r.value().rows[i].path.ToString(g.skeleton()),
-                snap_r.value().rows[i].path.ToString(g.skeleton()));
+    Result<GqlEvalResult> group = EvalGqlGroupPattern(g, *p.value(), options);
+    ASSERT_TRUE(group.ok()) << group.error().message();
+    Result<CorePathEvalResult> core = EvalPatternPaths(g, *p.value(), options);
+    ASSERT_TRUE(core.ok()) << core.error().message();
+    EXPECT_FALSE(group.value().truncated);
+    EXPECT_FALSE(core.value().truncated);
+    std::set<Path> group_paths, core_paths;
+    for (const GqlPathRow& row : group.value().rows) {
+      group_paths.insert(row.path);
     }
+    for (const CorePathRow& row : core.value().rows) {
+      core_paths.insert(row.path);
+    }
+    EXPECT_FALSE(group_paths.empty()) << text;
+    EXPECT_EQ(group_paths, core_paths) << text;
   }
 }
 
@@ -423,34 +512,75 @@ TEST(SnapshotDifferentialTest, CountingBagAndCardinalityAgree) {
   EdgeLabeledGraph g = RandomGraph(10, 40, 4, 71);
   GraphSnapshot snap(g);
 
-  Nfa nfa = Nfa::FromRegex(*Rx("(a|b)* c"), g);
-  size_t bound = g.NumNodes() * nfa.num_states() + 1;
+  // Glushkov automata of expressions that use each label once are
+  // deterministic, so counting runs counts matching paths.
+  RegexPtr counted = Rx("(a|b)* c");
+  Nfa nfa = Nfa::FromRegex(*counted, g);
+  constexpr size_t kBound = 5;
   for (NodeId u = 0; u < g.NumNodes(); u += 2) {
     for (NodeId v = 0; v < g.NumNodes(); v += 3) {
-      EXPECT_EQ(CountRunsOnPaths(snap, nfa, u, v, bound).ToString(),
-                CountRunsOnPaths(g, nfa, u, v, bound).ToString());
+      auto paths =
+          ReferenceModePaths(g, *counted, u, v, PathMode::kAll, kBound);
+      ASSERT_TRUE(paths.has_value());
+      EXPECT_EQ(CountRunsOnPaths(snap, nfa, u, v, kBound).ToString(),
+                std::to_string(paths->size()));
     }
   }
 
+  // A bag count is positive exactly on the set answers; without stars it
+  // counts the matching paths times their parses (one each here).
   for (const char* regex : {"a*", "(a|b) c?", "!{a} b*"}) {
     RegexPtr r = Rx(regex);
-    EXPECT_EQ(BagCountTotal(*r, snap).ToString(),
-              BagCountTotal(*r, g).ToString())
-        << regex;
-    EXPECT_EQ(BagCount(*r, snap, 0, 5).ToString(),
-              BagCount(*r, g, 0, 5).ToString());
+    const auto answers = ReferenceRpq(g, *r);
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      for (NodeId v = 0; v < g.NumNodes(); ++v) {
+        const bool in_set = std::binary_search(answers.begin(), answers.end(),
+                                               std::make_pair(u, v));
+        EXPECT_EQ(!BagCount(*r, snap, u, v).is_zero(), in_set)
+            << regex << " " << u << "->" << v;
+      }
+    }
+  }
+  RegexPtr star_free = Rx("(a|b) c?");
+  for (NodeId u = 0; u < g.NumNodes(); ++u) {
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      auto paths = ReferenceModePaths(g, *star_free, u, v, PathMode::kAll, 2);
+      ASSERT_TRUE(paths.has_value());
+      EXPECT_EQ(BagCount(*star_free, snap, u, v).ToString(),
+                std::to_string(paths->size()));
+    }
   }
 
-  GraphStatistics seed_stats(g);
-  GraphStatistics snap_stats(snap);
-  ASSERT_EQ(snap_stats.num_nodes(), seed_stats.num_nodes());
+  GraphStatistics stats(snap);
+  ASSERT_EQ(stats.num_nodes(), g.NumNodes());
   for (LabelId l = 0; l < g.NumLabels(); ++l) {
-    EXPECT_EQ(snap_stats.EdgeCount(l), seed_stats.EdgeCount(l));
-    EXPECT_EQ(snap_stats.DistinctSources(l), seed_stats.DistinctSources(l));
-    EXPECT_EQ(snap_stats.DistinctTargets(l), seed_stats.DistinctTargets(l));
+    size_t count = 0;
+    std::set<NodeId> sources, targets;
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      if (g.EdgeLabel(e) != l) continue;
+      ++count;
+      sources.insert(g.Src(e));
+      targets.insert(g.Tgt(e));
+    }
+    EXPECT_EQ(stats.EdgeCount(l), count);
+    EXPECT_EQ(stats.DistinctSources(l), sources.size());
+    EXPECT_EQ(stats.DistinctTargets(l), targets.size());
   }
-  EXPECT_EQ(EstimateRpqCardinalitySampling(snap, nfa, 8, 99),
-            EstimateRpqCardinalitySampling(g, nfa, 8, 99));
+
+  // Sampling scales the mean answer count of the sampled start nodes.
+  const auto answers = ReferenceRpq(g, *counted);
+  std::mt19937_64 rng(99);
+  std::uniform_int_distribution<NodeId> pick(
+      0, static_cast<NodeId>(g.NumNodes() - 1));
+  size_t reached = 0;
+  for (int i = 0; i < 8; ++i) {
+    NodeId u = pick(rng);
+    reached += std::count_if(answers.begin(), answers.end(),
+                             [u](const auto& p) { return p.first == u; });
+  }
+  EXPECT_DOUBLE_EQ(EstimateRpqCardinalitySampling(snap, nfa, 8, 99),
+                   static_cast<double>(reached) / 8 *
+                       static_cast<double>(g.NumNodes()));
 }
 
 // ---------------------------------------------------------------------------
@@ -463,14 +593,14 @@ TEST(ParallelRpqTest, SmallGraphsFallBackToSequential) {
   ThreadPool pool(2);
   ParallelRpqOptions options;
   options.pool = &pool;
-  EXPECT_EQ(EvalRpqParallel(snap, nfa, options), EvalRpq(g, nfa));
+  EXPECT_EQ(EvalRpqParallel(snap, nfa, options), EvalRpq(snap, nfa));
 }
 
 TEST(ParallelRpqTest, NullPoolAndSingleShardWork) {
   EdgeLabeledGraph g = RandomGraph(200, 800, 4, 83);
   GraphSnapshot snap(g);
   Nfa nfa = Nfa::FromRegex(*Rx("a b*"), g);
-  auto expected = EvalRpq(g, nfa);
+  auto expected = EvalRpq(snap, nfa);
   EXPECT_EQ(EvalRpqParallel(snap, nfa, {}), expected);
   ThreadPool pool(2);
   ParallelRpqOptions one_shard;
@@ -487,7 +617,7 @@ TEST(ParallelRpqTest, SubmitToShutDownPoolStillCompletes) {
   pool.Shutdown();  // Submit returns false; the caller runs every shard
   ParallelRpqOptions options;
   options.pool = &pool;
-  EXPECT_EQ(EvalRpqParallel(snap, nfa, options), EvalRpq(g, nfa));
+  EXPECT_EQ(EvalRpqParallel(snap, nfa, options), EvalRpq(snap, nfa));
 }
 
 TEST(ParallelRpqTest, ShardBudgetsMergeIntoParentContext) {
@@ -508,7 +638,7 @@ TEST(ParallelRpqTest, ShardBudgetsMergeIntoParentContext) {
     auto pairs = EvalRpqParallel(snap, nfa, options);
     EXPECT_EQ(ctx.stop_cause(), StopCause::kNone);
     EXPECT_GT(ctx.Report().steps, 0u);
-    EXPECT_EQ(pairs, EvalRpq(g, nfa));
+    EXPECT_EQ(pairs, EvalRpq(snap, nfa));
   }
 
   // Tiny budget: some shard trips, the cause propagates to the parent,

@@ -10,9 +10,12 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
 #include "src/rpq/rpq_eval.h"
+#include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
+
+using testing_util::SnapshotEvalRpq;
 
 CypherPatternPtr CyPat(const std::string& text) {
   Result<CypherPatternPtr> p = ParseCypherPattern(text);
@@ -58,7 +61,7 @@ TEST(CypherFragmentTest, EvaluatesViaCoreGql) {
   PropertyGraph g = Figure3Graph();
   CypherPatternPtr p = CyPat("(x:Account) -[:Transfer*]-> (y:Account)");
   Result<std::vector<CorePairRow>> rows =
-      EvalPatternPairs(g, *p->ToCorePattern());
+      EvalPatternPairs(g, *p->ToCorePattern(), GraphSnapshot(g));
   ASSERT_TRUE(rows.ok());
   // Transfer* is complete on the 6 accounts (Example 12).
   EXPECT_EQ(rows.value().size(), 36u);
@@ -152,7 +155,7 @@ TEST(Prop22Test, TheRpqItselfIsFine) {
   EdgeLabeledGraph g = Chain(4);
   Result<RegexPtr> r = ParseRegex("(a a)*", RegexDialect::kPlain);
   ASSERT_TRUE(r.ok());
-  auto pairs = EvalRpq(g, *r.value());
+  auto pairs = SnapshotEvalRpq(g, *r.value());
   // Pairs at even distance: 5 (dist 0) + 3 (dist 2) + 1 (dist 4).
   EXPECT_EQ(pairs.size(), 9u);
 }

@@ -14,6 +14,7 @@ namespace gqzoo {
 namespace {
 
 using testing_util::DlRx;
+using testing_util::SnapshotEvalDlCrpq;
 
 // ---------------------------------------------------------------------------
 // Independent oracle: the ⊢_R derivation semantics of Section 3.2.1,
@@ -185,7 +186,8 @@ class DlBasicTest : public ::testing::Test {
                                 PathMode mode = PathMode::kAll,
                                 size_t max_len = 8) {
     DlNfa nfa = DlNfa::FromRegex(*DlRx(regex), g_);
-    DlEvaluator evaluator(g_, nfa);
+    GraphSnapshot snapshot(g_);
+    DlEvaluator evaluator(g_, nfa, &snapshot);
     EnumerationLimits limits;
     limits.max_length = max_len;
     return evaluator.CollectModePaths(*g_.FindNode(u), *g_.FindNode(v), mode,
@@ -287,7 +289,8 @@ TEST_F(DlBasicTest, Prop23CounterexampleRejectedByDlRpq) {
   }
   DlNfa nfa = DlNfa::FromRegex(
       *DlRx("()[a][x := k]( (_)[a][k > x][x := k] )*()"), pg);
-  DlEvaluator evaluator(pg, nfa);
+  GraphSnapshot snapshot(pg);
+  DlEvaluator evaluator(pg, nfa, &snapshot);
   EnumerationLimits limits;
   // End-to-end (3,4,1,2) is not increasing: rejected.
   EXPECT_TRUE(evaluator.CollectModePaths(nodes[0], nodes[4], PathMode::kAll,
@@ -313,8 +316,9 @@ TEST_F(DlBasicTest, Section63ShortestWithDataFilterTakesDetour) {
             "path(a3, t6, a4, t9, a6, t10, a5)");
   // Without the filter the shortest path has length 1.
   DlNfa plain = DlNfa::FromRegex(*DlRx("( ()[Transfer] )* ()"), g_);
-  EXPECT_EQ(DlEvaluator(g_, plain).ShortestLength(*g_.FindNode("a3"),
-                                                  *g_.FindNode("a5")),
+  GraphSnapshot snapshot(g_);
+  EXPECT_EQ(DlEvaluator(g_, plain, &snapshot)
+                .ShortestLength(*g_.FindNode("a3"), *g_.FindNode("a5")),
             1u);
 }
 
@@ -326,7 +330,8 @@ TEST_F(DlBasicTest, Section63TwoCheapTransfersForceACycle) {
                             " ( ()[Transfer] )* " + cheap +
                             " ( ()[Transfer] )* ()";
   DlNfa nfa = DlNfa::FromRegex(*DlRx(query), g_);
-  DlEvaluator evaluator(g_, nfa);
+  GraphSnapshot snapshot(g_);
+  DlEvaluator evaluator(g_, nfa, &snapshot);
   NodeId a3 = *g_.FindNode("a3");
   NodeId a5 = *g_.FindNode("a5");
   EXPECT_EQ(evaluator.ShortestLength(a3, a5), 6u);
@@ -344,7 +349,8 @@ TEST_F(DlBasicTest, Section63TwoCheapTransfersForceACycle) {
 TEST_F(DlBasicTest, ReachabilityAndPairs) {
   DlNfa nfa = DlNfa::FromRegex(
       *DlRx("( ()[Transfer] )+ (owner = 'Rebecca')"), g_);
-  DlEvaluator evaluator(g_, nfa);
+  GraphSnapshot snapshot(g_);
+  DlEvaluator evaluator(g_, nfa, &snapshot);
   std::vector<NodeId> from_a4 = evaluator.ReachableFrom(*g_.FindNode("a4"));
   ASSERT_EQ(from_a4.size(), 1u);
   EXPECT_EQ(g_.NodeName(from_a4[0]), "a5");
@@ -357,7 +363,8 @@ TEST_F(DlBasicTest, ReachabilityAndPairs) {
 
 TEST_F(DlBasicTest, CollapseCaptureLoopTruncates) {
   DlNfa nfa = DlNfa::FromRegex(*DlRx("([Transfer^z])+"), g_);
-  DlEvaluator evaluator(g_, nfa);
+  GraphSnapshot snapshot(g_);
+  DlEvaluator evaluator(g_, nfa, &snapshot);
   EnumerationLimits limits;
   limits.max_results = 10;
   EnumerationStats stats;
@@ -377,13 +384,21 @@ struct DlOracleCase {
   const char* regex;
 };
 
+// Prints the case by value: gtest's default dump of the raw bytes would put
+// the regex pointer's address, which moves from build to build, into the
+// test name.
+void PrintTo(const DlOracleCase& c, std::ostream* os) {
+  *os << "{" << c.seed << ", \"" << c.regex << "\"}";
+}
+
 class DlOracleTest : public ::testing::TestWithParam<DlOracleCase> {};
 
 TEST_P(DlOracleTest, EvaluatorMatchesDerivationSemantics) {
   PropertyGraph g = RandomPropertyGraph(5, 8, 3, GetParam().seed);
   RegexPtr r = DlRx(GetParam().regex);
   DlNfa nfa = DlNfa::FromRegex(*r, g);
-  DlEvaluator evaluator(g, nfa);
+  GraphSnapshot snapshot(g);
+  DlEvaluator evaluator(g, nfa, &snapshot);
   const size_t max_len = 3;
   EnumerationLimits limits;
   limits.max_length = max_len;
@@ -422,7 +437,7 @@ TEST(DlCrpqTest, JoinWithDataTests) {
       "( ()[Transfer] )+ (owner = 'Rebecca') (y, w)",
       RegexDialect::kDl);
   ASSERT_TRUE(q.ok()) << q.error().message();
-  Result<CrpqResult> r = EvalDlCrpq(g, q.value());
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q.value());
   ASSERT_TRUE(r.ok()) << r.error().message();
   // The only cheap transfer is t9 (a4 → a6), so y = a6, and x is anything
   // that reaches a4 (all accounts, since the transfer graph is strongly
@@ -442,7 +457,7 @@ TEST(DlCrpqTest, ShortestModeWithListVariables) {
       "[amount < 4500000] ( ()[Transfer^z] )* () (@a3, @a5)",
       RegexDialect::kDl);
   ASSERT_TRUE(q.ok()) << q.error().message();
-  Result<CrpqResult> r = EvalDlCrpq(g, q.value());
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q.value());
   ASSERT_TRUE(r.ok()) << r.error().message();
   ASSERT_EQ(r.value().rows.size(), 1u);
   EXPECT_EQ(ListToString(g.skeleton(),

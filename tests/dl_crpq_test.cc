@@ -9,9 +9,12 @@
 #include "src/datatest/dl_eval.h"
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/generators.h"
+#include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
+
+using testing_util::SnapshotEvalDlCrpq;
 
 Crpq DlQ(const std::string& text) {
   Result<Crpq> q = ParseCrpq(text, RegexDialect::kDl);
@@ -53,7 +56,7 @@ TEST(DlCrpqEvalTest, TrailModeWithDataTests) {
   PropertyGraph g = Figure3Graph();
   Crpq q = DlQ("q(z) := trail ()[Transfer^z][amount >= 6000000]"
                "( ()[Transfer^z] )+ () (@a3, @a3)");
-  Result<CrpqResult> r = EvalDlCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q);
   ASSERT_TRUE(r.ok()) << r.error().message();
   // Cycles at a3: t7,t4,t1 (first hop t7 = 10M ✓) and t6,t9,t8 (t6 = 4.5M ✗)
   // and t2/t5 → a2 → a4 → a6 → a3 (t2 = 6M ✓, t5 = 9.1M ✓).
@@ -71,7 +74,7 @@ TEST(DlCrpqEvalTest, SimpleModeExcludesRevisits) {
   Crpq q = DlQ("q(z) := simple ( ()[Transfer^z] )* " + cheap +
                " ( ()[Transfer^z] )* " + cheap +
                " ( ()[Transfer^z] )* () (@a3, @a5)");
-  Result<CrpqResult> r = EvalDlCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q);
   ASSERT_TRUE(r.ok()) << r.error().message();
   EXPECT_TRUE(r.value().rows.empty());
   // Under `all` (bounded) witnesses exist.
@@ -81,7 +84,7 @@ TEST(DlCrpqEvalTest, SimpleModeExcludesRevisits) {
   DlCrpqEvalOptions options;
   options.max_path_length = 8;
   options.max_bindings_per_pair = 50;
-  Result<CrpqResult> ra = EvalDlCrpq(g, q_all, options);
+  Result<CrpqResult> ra = SnapshotEvalDlCrpq(g, q_all, options);
   ASSERT_TRUE(ra.ok());
   EXPECT_FALSE(ra.value().rows.empty());
 }
@@ -93,7 +96,7 @@ TEST(DlCrpqEvalTest, JoinOnSharedEndpointAcrossDataTests) {
   Crpq q = DlQ(
       "q(x, y) := (isBlocked = 'yes')( [Transfer] )+ () (x, y), "
       "( ()[Transfer][amount < 4500000] )+ () (w, y)");
-  Result<CrpqResult> r = EvalDlCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q);
   ASSERT_TRUE(r.ok()) << r.error().message();
   // x must be a4 (the only blocked account); first hop from a4 is t9; y is
   // then a6 or beyond. Second atom requires y to be the target of a cheap
@@ -106,7 +109,7 @@ TEST(DlCrpqEvalTest, SelfJoinWithTests) {
   PropertyGraph g = Figure3Graph();
   // Nodes on a transfer cycle avoiding expensive first hops.
   Crpq q = DlQ("q(x) := ( ()[Transfer] ){3} () (x, x)");
-  Result<CrpqResult> r = EvalDlCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q);
   ASSERT_TRUE(r.ok());
   std::set<std::string> rows = Rows(g, r.value());
   // 3-cycles: {a3,a5,a1} and {a3,a4,a6}.
@@ -117,16 +120,16 @@ TEST(DlCrpqEvalTest, NodeTestsAsAtoms) {
   PropertyGraph g = Figure3Graph();
   // Pure node-test atom: accounts owned by Mike (path of length 0).
   Crpq q = DlQ("q(x) := (owner = 'Mike') (x, x)");
-  Result<CrpqResult> r = EvalDlCrpq(g, q);
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(Rows(g, r.value()), (std::set<std::string>{"a3"}));
   // Chained node tests collapse onto one node.
   Crpq q2 = DlQ("q(x) := (owner = 'Mike')(isBlocked = 'no') (x, x)");
-  Result<CrpqResult> r2 = EvalDlCrpq(g, q2);
+  Result<CrpqResult> r2 = SnapshotEvalDlCrpq(g, q2);
   ASSERT_TRUE(r2.ok());
   EXPECT_EQ(Rows(g, r2.value()), (std::set<std::string>{"a3"}));
   Crpq q3 = DlQ("q(x) := (owner = 'Mike')(isBlocked = 'yes') (x, x)");
-  Result<CrpqResult> r3 = EvalDlCrpq(g, q3);
+  Result<CrpqResult> r3 = SnapshotEvalDlCrpq(g, q3);
   ASSERT_TRUE(r3.ok());
   EXPECT_TRUE(r3.value().rows.empty());
 }
@@ -134,7 +137,8 @@ TEST(DlCrpqEvalTest, NodeTestsAsAtoms) {
 TEST(DlCrpqEvalTest, UnknownConstantIsError) {
   PropertyGraph g = Figure3Graph();
   EXPECT_FALSE(
-      EvalDlCrpq(g, DlQ("q(x) := ( ()[Transfer] )+ () (@nope, x)")).ok());
+      SnapshotEvalDlCrpq(g,
+                         DlQ("q(x) := ( ()[Transfer] )+ () (@nope, x)")).ok());
 }
 
 TEST(DlCrpqEvalTest, TruncationPropagates) {
@@ -143,7 +147,7 @@ TEST(DlCrpqEvalTest, TruncationPropagates) {
   DlCrpqEvalOptions options;
   options.max_bindings_per_pair = 5;
   options.max_path_length = 20;
-  Result<CrpqResult> r = EvalDlCrpq(g, q, options);
+  Result<CrpqResult> r = SnapshotEvalDlCrpq(g, q, options);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().truncated);
   EXPECT_FALSE(r.value().rows.empty());

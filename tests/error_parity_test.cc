@@ -11,14 +11,19 @@
 
 #include <cstdlib>
 #include <filesystem>
+#include <functional>
 #include <fstream>
 #include <memory>
 #include <optional>
 #include <string>
 #include <vector>
 
+#include "src/coregql/group_eval.h"
+#include "src/coregql/pattern_parser.h"
+#include "src/coregql/query.h"
 #include "src/crpq/crpq_parser.h"
 #include "src/crpq/eval.h"
+#include "src/datatest/dl_eval.h"
 #include "src/engine/engine.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
@@ -28,6 +33,8 @@
 
 namespace gqzoo {
 namespace {
+
+using testing_util::SnapshotEvalCrpq;
 
 struct LanguageQuery {
   QueryLanguage language;
@@ -89,16 +96,63 @@ TEST(ErrorParityTest, PreTrippedContextIsPreservedByEveryEvaluator) {
     QueryContext ctx;
     ctx.Trip(cause);
 
-    (void)EvalRpq(g.skeleton(), *testing_util::Rx("a+"), &ctx);
+    (void)EvalRpq(GraphSnapshot(g),
+                  Nfa::FromRegex(*testing_util::Rx("a+"), g.skeleton()), &ctx);
 
     Crpq crpq =
         ParseCrpq("q(x, z) :- a+(x, y), a+(y, z)", RegexDialect::kPlain)
             .ValueOrDie();
     CrpqEvalOptions crpq_options;
     crpq_options.cancel = &ctx;
-    (void)EvalCrpq(g.skeleton(), crpq, crpq_options);
+    (void)SnapshotEvalCrpq(g.skeleton(), crpq, crpq_options);
 
     EXPECT_EQ(ctx.stop_cause(), cause) << StopCauseName(cause);
+  }
+}
+
+TEST(ErrorParityTest, MissingSnapshotIsInvalidArgument) {
+  // Every evaluator reads the graph through a GraphSnapshot; leaving the
+  // options' snapshot unset is a caller error, not a fallback.
+  PropertyGraph g = ToPropertyGraph(Clique(3));
+  struct Case {
+    const char* name;
+    std::function<std::optional<ErrorCode>()> run;
+  };
+  auto code = [](const auto& result) -> std::optional<ErrorCode> {
+    if (result.ok()) return std::nullopt;
+    return result.error().code();
+  };
+  const std::vector<Case> cases = {
+      {"crpq",
+       [&] {
+         return code(EvalCrpq(
+             g.skeleton(),
+             ParseCrpq("q(x) :- a(x, y)", RegexDialect::kPlain).ValueOrDie(),
+             CrpqEvalOptions{}));
+       }},
+      {"dlcrpq",
+       [&] {
+         return code(EvalDlCrpq(
+             g, ParseCrpq("q(x) :- ()[a]()(x, y)", RegexDialect::kDl)
+                    .ValueOrDie(),
+             DlCrpqEvalOptions{}));
+       }},
+      {"gql",
+       [&] {
+         return code(EvalCoreGqlQuery(
+             g,
+             ParseCoreGqlQuery("MATCH (x)-[:a]->(y) RETURN x").ValueOrDie(),
+             CoreQueryEvalOptions{}));
+       }},
+      {"gqlgroup",
+       [&] {
+         return code(EvalGqlGroupPattern(
+             g, *ParseCorePattern("(x)-[:a]->(y)").ValueOrDie(),
+             CorePathEvalOptions{}));
+       }},
+  };
+  for (const Case& c : cases) {
+    EXPECT_EQ(c.run(), ErrorCode::kInvalidArgument) << c.name;
   }
 }
 

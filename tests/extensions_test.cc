@@ -20,6 +20,8 @@ namespace gqzoo {
 namespace {
 
 using testing_util::Rx;
+using testing_util::SnapshotEvalCrpq;
+using testing_util::SnapshotEvalRpq;
 
 TEST(TwoWayParserTest, InverseAtoms) {
   RegexPtr r = Rx("~a");
@@ -51,7 +53,7 @@ TEST(TwoWayParserTest, PrintRoundTrip) {
 TEST(TwoWayEvalTest, BackwardStep) {
   // u -a-> v: ~a connects v to u.
   EdgeLabeledGraph g = Chain(2);  // u1 -> u2 -> u3
-  auto pairs = EvalRpq(g, *Rx("~a"));
+  auto pairs = SnapshotEvalRpq(g, *Rx("~a"));
   std::set<std::pair<NodeId, NodeId>> set(pairs.begin(), pairs.end());
   EXPECT_EQ(set, (std::set<std::pair<NodeId, NodeId>>{{1, 0}, {2, 1}}));
 }
@@ -60,7 +62,7 @@ TEST(TwoWayEvalTest, ZigZag) {
   // a ~a: forward then backward — reaches siblings sharing a parent edge
   // target... on a chain it returns to the start.
   EdgeLabeledGraph g = Chain(3);
-  auto pairs = EvalRpq(g, *Rx("a ~a"));
+  auto pairs = SnapshotEvalRpq(g, *Rx("a ~a"));
   std::set<std::pair<NodeId, NodeId>> set(pairs.begin(), pairs.end());
   EXPECT_EQ(set, (std::set<std::pair<NodeId, NodeId>>{{0, 0}, {1, 1},
                                                       {2, 2}}));
@@ -71,7 +73,7 @@ TEST(TwoWayEvalTest, ZigZag) {
   NodeId w = v.AddNode("w");
   v.AddEdge(a, w, "a");
   v.AddEdge(b, w, "a");
-  auto vpairs = EvalRpq(v, *Rx("a ~a"));
+  auto vpairs = SnapshotEvalRpq(v, *Rx("a ~a"));
   std::set<std::pair<NodeId, NodeId>> vset(vpairs.begin(), vpairs.end());
   EXPECT_TRUE(vset.count({a, b}));
   EXPECT_TRUE(vset.count({b, a}));
@@ -84,7 +86,8 @@ TEST(TwoWayEvalTest, TwoWayReachabilityOnFigure2) {
   EdgeLabeledGraph g = Figure2Graph();
   Nfa nfa = Nfa::FromRegex(*Rx("(Transfer|~Transfer)*"), g);
   EXPECT_TRUE(nfa.HasInverse());
-  std::vector<NodeId> from_a1 = EvalRpqFrom(g, nfa, *g.FindNode("a1"));
+  std::vector<NodeId> from_a1 =
+      EvalRpqFrom(GraphSnapshot(g), nfa, *g.FindNode("a1"));
   std::set<NodeId> set(from_a1.begin(), from_a1.end());
   for (const char* name : {"a1", "a2", "a3", "a4", "a5", "a6"}) {
     EXPECT_TRUE(set.count(*g.FindNode(name))) << name;
@@ -99,7 +102,7 @@ TEST(TwoWayEvalTest, BruteForceAgreement) {
     EdgeLabeledGraph g = RandomGraph(6, 10, 2, seed);
     RegexPtr r = Rx("a (~b | b) ~a");
     Nfa nfa = Nfa::FromRegex(*r, g);
-    auto pairs = EvalRpq(g, nfa);
+    auto pairs = EvalRpq(GraphSnapshot(g), nfa);
     std::set<std::pair<NodeId, NodeId>> fast(pairs.begin(), pairs.end());
     // Oracle: BFS over (node, state) with explicit forward/backward moves,
     // structured differently from the evaluator (adjacency recomputed).
@@ -131,7 +134,7 @@ TEST(TwoWayEvalTest, CrpqWithInverseAtoms) {
   // Accounts sharing an owner-like pattern: x and y both transfer to a
   // common account: Transfer ~Transfer.
   Result<CrpqResult> r =
-      EvalCrpq(g, ParseCrpq("q(x, y) := (Transfer ~Transfer)(x, y)")
+      SnapshotEvalCrpq(g, ParseCrpq("q(x, y) := (Transfer ~Transfer)(x, y)")
                       .ValueOrDie());
   ASSERT_TRUE(r.ok()) << r.error().message();
   // t2/t5: a3 -> a2 twice, so (a3, a3); t3: a2 -> a4 and t6: a3 -> a4, so
@@ -145,7 +148,8 @@ TEST(TwoWayEvalTest, CrpqWithInverseAtoms) {
   EXPECT_TRUE(rows.count("a3->a2"));
   // Inverse atoms with list variables are rejected (one-way paths).
   Result<CrpqResult> bad =
-      EvalCrpq(g, ParseCrpq("q(z) := (~Transfer^z)(x, y)").ValueOrDie());
+      SnapshotEvalCrpq(g,
+                       ParseCrpq("q(z) := (~Transfer^z)(x, y)").ValueOrDie());
   EXPECT_FALSE(bad.ok());
 }
 
@@ -168,7 +172,9 @@ TEST(ContainmentTest, LanguageInclusion) {
 TEST(OrderedEnumerationTest, NondecreasingLengths) {
   EdgeLabeledGraph g = Figure2Graph();
   Nfa nfa = Nfa::FromRegex(*Rx("(Transfer^z)+"), g);
-  Pmr pmr = BuildPmrBetween(g, nfa, *g.FindNode("a3"), *g.FindNode("a5"));
+  Pmr pmr =
+      BuildPmrBetween(GraphSnapshot(g), nfa, *g.FindNode("a3"),
+                      *g.FindNode("a5"));
   EnumerationLimits limits;
   limits.max_results = 50;
   size_t last = 0;
@@ -187,7 +193,7 @@ TEST(OrderedEnumerationTest, MatchesDfsEnumerationAsSets) {
   Nfa nfa = Nfa::FromRegex(*Rx("(a|b)+"), g);
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      Pmr pmr = BuildPmrBetween(g, nfa, u, v);
+      Pmr pmr = BuildPmrBetween(GraphSnapshot(g), nfa, u, v);
       EnumerationLimits limits;
       limits.max_length = 4;
       std::vector<PathBinding> dfs = CollectPathBindings(pmr, limits);
@@ -210,7 +216,9 @@ TEST(OrderedEnumerationTest, KShortest) {
   // length-5 ones around a cycle.
   EdgeLabeledGraph g = Figure2Graph();
   Nfa nfa = Nfa::FromRegex(*Rx("(Transfer^z)+"), g);
-  Pmr pmr = BuildPmrBetween(g, nfa, *g.FindNode("a3"), *g.FindNode("a1"));
+  Pmr pmr =
+      BuildPmrBetween(GraphSnapshot(g), nfa, *g.FindNode("a3"),
+                      *g.FindNode("a1"));
   std::vector<PathBinding> top = KShortestPathBindings(pmr, 4);
   ASSERT_EQ(top.size(), 4u);
   EXPECT_EQ(top[0].path.ToString(g), "path(a3, t7, a5, t4, a1)");
@@ -225,7 +233,7 @@ TEST(OrderedEnumerationTest, KShortest) {
 TEST(OrderedEnumerationTest, FiniteSmallerThanK) {
   EdgeLabeledGraph g = Chain(3);
   Nfa nfa = Nfa::FromRegex(*Rx("a a"), g);
-  Pmr pmr = BuildPmrBetween(g, nfa, 0, 2);
+  Pmr pmr = BuildPmrBetween(GraphSnapshot(g), nfa, 0, 2);
   std::vector<PathBinding> top = KShortestPathBindings(pmr, 10);
   ASSERT_EQ(top.size(), 1u);
   EXPECT_EQ(top[0].path.Length(), 2u);

@@ -152,9 +152,9 @@ TEST(MinimizerTest, PassingCaseIsNotReproduced) {
 TEST(MinimizerTest, EmitRegressionTestContainsReplayableCase) {
   FuzzerOptions gen;
   FuzzCase c = GenCase(CaseSeed(31, 7), gen);
-  std::string test = EmitRegressionTest(c, "rpq.graph-vs-snapshot");
+  std::string test = EmitRegressionTest(c, "rpq.reference");
   EXPECT_NE(test.find("TEST(FuzzRegression,"), std::string::npos);
-  EXPECT_NE(test.find("RpqGraphVsSnapshotSeed"), std::string::npos);
+  EXPECT_NE(test.find("RpqReferenceSeed"), std::string::npos);
   // The embedded raw string must replay through ParseFuzzCase; extract it
   // and check.
   size_t start = test.find("R\"case(");

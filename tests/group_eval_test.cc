@@ -9,9 +9,12 @@
 #include "src/coregql/pattern_parser.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
+#include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
+
+using testing_util::SnapshotEvalGqlGroupPattern;
 
 CorePatternPtr Pat(const std::string& text) {
   return ParseCorePattern(text).ValueOrDie();
@@ -35,7 +38,7 @@ TEST(GroupEvalTest, Example1RepetitionCollectsAList) {
   // traversed edges — exactly what the paper says GQL does.
   PropertyGraph g = TwoEdgeChain();
   Result<GqlEvalResult> r =
-      EvalGqlGroupPattern(g, *Pat("(x) ( ()-[z:a]->() ){2} (y)"));
+      SnapshotEvalGqlGroupPattern(g, *Pat("(x) ( ()-[z:a]->() ){2} (y)"));
   ASSERT_TRUE(r.ok()) << r.error().message();
   ASSERT_EQ(r.value().rows.size(), 1u);
   const GqlPathRow& row = r.value().rows[0];
@@ -48,7 +51,7 @@ TEST(GroupEvalTest, Example1JoinVariantOnlyMatchesSelfLoops) {
   // (x) ()-[z:a]->() ()-[z:a]->() (y): both z occurrences are singletons
   // and join — only a self-loop can satisfy it (with the node joins).
   PropertyGraph chain = TwoEdgeChain();
-  Result<GqlEvalResult> none = EvalGqlGroupPattern(
+  Result<GqlEvalResult> none = SnapshotEvalGqlGroupPattern(
       chain, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"));
   ASSERT_TRUE(none.ok());
   EXPECT_TRUE(none.value().rows.empty());
@@ -56,7 +59,7 @@ TEST(GroupEvalTest, Example1JoinVariantOnlyMatchesSelfLoops) {
   PropertyGraph loop;
   NodeId u = loop.AddNode("u", "N");
   loop.AddEdge(u, u, "a", "self");
-  Result<GqlEvalResult> only = EvalGqlGroupPattern(
+  Result<GqlEvalResult> only = SnapshotEvalGqlGroupPattern(
       loop, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"));
   ASSERT_TRUE(only.ok());
   ASSERT_EQ(only.value().rows.size(), 1u);
@@ -68,7 +71,7 @@ TEST(GroupEvalTest, Example1ThirdVariantBindsSeparately) {
   // (x) ()-[z:a]->() ()-[z1:a]->() (y): matches the 2-edge path but binds
   // z and z1 separately instead of one list.
   PropertyGraph g = TwoEdgeChain();
-  Result<GqlEvalResult> r = EvalGqlGroupPattern(
+  Result<GqlEvalResult> r = SnapshotEvalGqlGroupPattern(
       g, *Pat("(x) ()-[z:a]->() ()-[z1:a]->() (y)"));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().rows.size(), 1u);
@@ -83,9 +86,9 @@ TEST(GroupEvalTest, RepetitionIsNotConcatenation) {
   // (pmr_test.cc, LrpqSemanticTest).
   PropertyGraph g = TwoEdgeChain();
   auto repeated =
-      EvalGqlGroupPattern(g, *Pat("(x) ( ()-[z:a]->() ){2} (y)"));
+      SnapshotEvalGqlGroupPattern(g, *Pat("(x) ( ()-[z:a]->() ){2} (y)"));
   auto shared =
-      EvalGqlGroupPattern(g, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"));
+      SnapshotEvalGqlGroupPattern(g, *Pat("(x) ()-[z:a]->() ()-[z:a]->() (y)"));
   ASSERT_TRUE(repeated.ok());
   ASSERT_TRUE(shared.ok());
   EXPECT_EQ(repeated.value().rows.size(), 1u);
@@ -107,7 +110,7 @@ TEST(GroupEvalTest, Example2JoinInsideGroupOutside) {
 
   // Iteration body: (x) with an a-self-loop, then an a-step onward.
   CorePatternPtr pattern = Pat("( (x)-[:a]->(x)-[:a]->() ){1,3}");
-  Result<GqlEvalResult> r = EvalGqlGroupPattern(g, *pattern);
+  Result<GqlEvalResult> r = SnapshotEvalGqlGroupPattern(g, *pattern);
   ASSERT_TRUE(r.ok()) << r.error().message();
   // The 2-iteration match starting at m0 that steps onward to m2:
   // x -> list(m0, m1), path loop0, step01, loop1, step12.
@@ -129,7 +132,7 @@ TEST(GroupEvalTest, NestedRepetitionsNestLists) {
   // ( ( ()-[z:a]->() ){2} ){2}: z is a list of lists — the "monster".
   PropertyGraph g = ToPropertyGraph(Chain(4));
   Result<GqlEvalResult> r =
-      EvalGqlGroupPattern(g, *Pat("( ( ()-[z:a]->() ){2} ){2}"));
+      SnapshotEvalGqlGroupPattern(g, *Pat("( ( ()-[z:a]->() ){2} ){2}"));
   ASSERT_TRUE(r.ok());
   ASSERT_EQ(r.value().rows.size(), 1u);
   EXPECT_EQ(r.value().rows[0].mu.at("z").ToString(g.skeleton()),
@@ -139,7 +142,7 @@ TEST(GroupEvalTest, NestedRepetitionsNestLists) {
 TEST(GroupEvalTest, DegreeMixingIsAnError) {
   // z as a group (under a star) concatenated with z as a singleton.
   PropertyGraph g = TwoEdgeChain();
-  Result<GqlEvalResult> r = EvalGqlGroupPattern(
+  Result<GqlEvalResult> r = SnapshotEvalGqlGroupPattern(
       g, *Pat("( ()-[z:a]->() )* ()-[z:a]->()"));
   EXPECT_FALSE(r.ok());
 }
@@ -152,13 +155,13 @@ TEST(GroupEvalTest, ConditionsSeeSingletonsOnly) {
   g.SetProperty(ObjectRef::Node(b), "k", Value(2));
   EdgeId e = g.AddEdge(a, b, "x");
   g.SetProperty(ObjectRef::Edge(e), "k", Value(5));
-  Result<GqlEvalResult> ok = EvalGqlGroupPattern(
+  Result<GqlEvalResult> ok = SnapshotEvalGqlGroupPattern(
       g, *Pat("( (u)-[f]->(v) WHERE u.k < v.k )"));
   ASSERT_TRUE(ok.ok());
   EXPECT_EQ(ok.value().rows.size(), 1u);
   // A condition over a group variable filters everything out (like an
   // unbound variable — no nulls, no implicit unnesting).
-  Result<GqlEvalResult> group_cond = EvalGqlGroupPattern(
+  Result<GqlEvalResult> group_cond = SnapshotEvalGqlGroupPattern(
       g, *Pat("( ( (u)-[f]->(v) )* WHERE u.k < v.k )"));
   ASSERT_TRUE(group_cond.ok());
   EXPECT_TRUE(group_cond.value().rows.empty());
@@ -174,7 +177,7 @@ TEST(GroupEvalTest, Section42PartialBindingsInsteadOfNulls) {
   CorePatternPtr arms = CorePattern::Union(
       CorePattern::Node("x", std::nullopt),
       CorePattern::Edge("y", std::nullopt));
-  Result<GqlEvalResult> r = EvalGqlGroupPattern(g, *arms);
+  Result<GqlEvalResult> r = SnapshotEvalGqlGroupPattern(g, *arms);
   ASSERT_TRUE(r.ok()) << r.error().message();
   size_t node_rows = 0, edge_rows = 0;
   for (const GqlPathRow& row : r.value().rows) {
@@ -189,14 +192,14 @@ TEST(GroupEvalTest, Section42PartialBindingsInsteadOfNulls) {
   EXPECT_EQ(node_rows, 2u);  // u1, u2
   EXPECT_EQ(edge_rows, 1u);  // e0
   // CoreGQL itself rejects the same pattern (no nulls).
-  EXPECT_FALSE(EvalPatternPairs(g, *arms).ok());
+  EXPECT_FALSE(EvalPatternPairs(g, *arms, GraphSnapshot(g)).ok());
 }
 
 TEST(GroupEvalTest, StarCollectsPerIterationOnCycles) {
   PropertyGraph g = ToPropertyGraph(Cycle(2));
   CorePathEvalOptions options;
   options.max_path_length = 4;
-  Result<GqlEvalResult> r = EvalGqlGroupPattern(
+  Result<GqlEvalResult> r = SnapshotEvalGqlGroupPattern(
       g, *Pat("( ()-[z]->() )* "), options);
   ASSERT_TRUE(r.ok());
   EXPECT_TRUE(r.value().truncated);

@@ -1,13 +1,14 @@
 // Cross-validation of the mode machinery (Section 3.1.5): the production
 // implementations (PMR shortest restriction, backtracking simple/trail
 // search) against the reference definition — filter the explicit set of
-// matching path bindings with ApplyMode.
+// matching path bindings with the reference's ApplyMode.
 
 #include <gtest/gtest.h>
 
 #include <set>
 
 #include "src/crpq/modes.h"
+#include "src/fuzz/reference.h"
 #include "src/graph/generators.h"
 #include "src/util/biguint.h"
 #include "tests/test_util.h"
@@ -46,12 +47,12 @@ TEST_P(ModeAgreementTest, ImplementationsMatchReferenceFilter) {
           // exist; the reference set is incomplete here, so skip.
           continue;
         }
-        std::vector<PathBinding> expected = ApplyMode(mode, brute);
+        std::vector<PathBinding> expected = fuzz::ApplyMode(mode, brute);
         std::sort(expected.begin(), expected.end());
         expected.erase(std::unique(expected.begin(), expected.end()),
                        expected.end());
         std::vector<PathBinding> got =
-            CollectModePaths(g, nfa, u, v, mode, limits);
+            CollectModePaths(GraphSnapshot(g), nfa, u, v, mode, limits);
         EXPECT_EQ(got, expected)
             << GetParam().regex << " mode=" << PathModeName(mode) << " " << u
             << "->" << v;
@@ -73,7 +74,8 @@ TEST(ApplyModeTest, ShortestKeepsAllMinimal) {
   Nfa nfa = Nfa::FromRegex(*Rx("a*"), g);
   std::vector<PathBinding> all =
       MatchingBindingsBruteForce(g, nfa, 0, 2, 4);
-  std::vector<PathBinding> shortest = ApplyMode(PathMode::kShortest, all);
+  std::vector<PathBinding> shortest =
+      fuzz::ApplyMode(PathMode::kShortest, all);
   EXPECT_EQ(shortest.size(), 4u);
   for (const PathBinding& pb : shortest) {
     EXPECT_EQ(pb.path.Length(), 2u);
@@ -83,7 +85,7 @@ TEST(ApplyModeTest, ShortestKeepsAllMinimal) {
 TEST(ApplyModeTest, EmptySetsStayEmpty) {
   for (PathMode mode : {PathMode::kAll, PathMode::kSimple, PathMode::kTrail,
                         PathMode::kShortest}) {
-    EXPECT_TRUE(ApplyMode(mode, {}).empty());
+    EXPECT_TRUE(fuzz::ApplyMode(mode, {}).empty());
   }
 }
 
@@ -97,8 +99,9 @@ TEST(ModeCountTest, TrailCountOnParallelChain) {
   EnumerationLimits limits;
   for (PathMode mode : {PathMode::kAll, PathMode::kSimple, PathMode::kTrail,
                         PathMode::kShortest}) {
-    std::vector<PathBinding> got = CollectModePaths(
-        g, nfa, *g.FindNode("s"), *g.FindNode("t"), mode, limits);
+    std::vector<PathBinding> got =
+        CollectModePaths(GraphSnapshot(g), nfa, *g.FindNode("s"),
+                         *g.FindNode("t"), mode, limits);
     EXPECT_EQ(got.size(), size_t{1} << n) << PathModeName(mode);
   }
 }
@@ -115,22 +118,24 @@ TEST(ModeCountTest, CycleDistinguishesModes) {
 
   EnumerationStats stats;
   std::vector<PathBinding> all =
-      CollectModePaths(g, nfa, 0, 0, PathMode::kAll, limits, &stats);
+      CollectModePaths(GraphSnapshot(g), nfa, 0, 0, PathMode::kAll, limits,
+                       &stats);
   EXPECT_TRUE(stats.truncated);
   EXPECT_EQ(all.size(), 10u);
 
   std::vector<PathBinding> shortest =
-      CollectModePaths(g, nfa, 0, 0, PathMode::kShortest, limits);
+      CollectModePaths(GraphSnapshot(g), nfa, 0, 0, PathMode::kShortest,
+                       limits);
   ASSERT_EQ(shortest.size(), 1u);
   EXPECT_EQ(shortest[0].path.Length(), 0u);
 
   std::vector<PathBinding> simple =
-      CollectModePaths(g, nfa, 0, 0, PathMode::kSimple, limits);
+      CollectModePaths(GraphSnapshot(g), nfa, 0, 0, PathMode::kSimple, limits);
   ASSERT_EQ(simple.size(), 1u);
   EXPECT_EQ(simple[0].path.Length(), 0u);
 
   std::vector<PathBinding> trail =
-      CollectModePaths(g, nfa, 0, 0, PathMode::kTrail, limits);
+      CollectModePaths(GraphSnapshot(g), nfa, 0, 0, PathMode::kTrail, limits);
   ASSERT_EQ(trail.size(), 2u);  // empty path + the 3-cycle
   EXPECT_EQ(trail[1].path.Length(), 3u);
 }

@@ -1,6 +1,8 @@
 #include <gtest/gtest.h>
 
 #include <set>
+#include <string>
+#include <vector>
 
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/generators.h"
@@ -102,6 +104,29 @@ TEST(RegularQueryEvalTest, ChainedRules) {
   EXPECT_TRUE(rows.count("h0->h4"));
   EXPECT_TRUE(rows.count("h0->h0"));
   EXPECT_FALSE(rows.count("h0->h1"));  // odd distance unreachable by 2-hops
+}
+
+TEST(RegularQueryEvalTest, RuleLabelAbsentFromBaseFeedsLaterRule) {
+  // n0 -a-> n1 -b-> n2 -a-> n3 -b-> n4. Neither `ab` nor `abab` is a label
+  // of the base graph: each exists only in the snapshot built for the
+  // rounds after the rule that defines it, and the wildcard rule sees
+  // `ab` as its only non-a/b label slice.
+  EdgeLabeledGraph g;
+  std::vector<NodeId> n;
+  for (int i = 0; i < 5; ++i) n.push_back(g.AddNode("n" + std::to_string(i)));
+  LabelId a = g.InternLabel("a");
+  LabelId b = g.InternLabel("b");
+  for (int i = 0; i < 4; ++i) g.AddEdge(n[i], n[i + 1], i % 2 == 0 ? a : b);
+  ASSERT_FALSE(g.FindLabel("ab").has_value());
+  RegularQuery q = RQ(
+      "ab(x, y) := (a b)(x, y) ;"
+      "abab(x, y) := (ab ab)(x, y) ;"
+      "other(x, y) := (!{a, b, abab} !{a, b, abab})(x, y) ;"
+      "q(u, v) := abab(u, v), other(u, v)");
+  Result<CrpqResult> r = EvalRegularQuery(g, q);
+  ASSERT_TRUE(r.ok()) << r.error().message();
+  EXPECT_EQ(PairRows(g, r.value()), (std::set<std::string>{"n0->n4"}));
+  EXPECT_FALSE(g.FindLabel("ab").has_value());  // input untouched
 }
 
 TEST(RegularQueryEvalTest, VirtualEdgesDoNotLeakIntoInput) {

@@ -6,9 +6,12 @@
 #include "src/coregql/optimize.h"
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/generators.h"
+#include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
+
+using testing_util::SnapshotEvalCoreGqlQuery;
 
 CoreGqlQuery Q(const std::string& text) {
   return ParseCoreGqlQuery(text).ValueOrDie();
@@ -23,8 +26,8 @@ void CheckPreserves(const PropertyGraph& g, const std::string& text,
   CoreGqlQuery optimized = PushDownConditions(original, &stats);
   EXPECT_EQ(stats.labels_pushed, expect_labels) << text;
   EXPECT_EQ(stats.selections_pushed, expect_selections) << text;
-  Result<CoreQueryResult> before = EvalCoreGqlQuery(g, original);
-  Result<CoreQueryResult> after = EvalCoreGqlQuery(g, optimized);
+  Result<CoreQueryResult> before = SnapshotEvalCoreGqlQuery(g, original);
+  Result<CoreQueryResult> after = SnapshotEvalCoreGqlQuery(g, optimized);
   ASSERT_TRUE(before.ok()) << before.error().message();
   ASSERT_TRUE(after.ok()) << after.error().message();
   EXPECT_EQ(before.value().relation.rows(), after.value().relation.rows())
@@ -71,7 +74,7 @@ TEST(PushdownTest, ContradictoryLabelIsKeptNotMiscompiled) {
   PushdownStats stats;
   CoreGqlQuery optimized = PushDownConditions(q, &stats);
   EXPECT_EQ(stats.labels_pushed, 0u);
-  Result<CoreQueryResult> r = EvalCoreGqlQuery(g, optimized);
+  Result<CoreQueryResult> r = SnapshotEvalCoreGqlQuery(g, optimized);
   ASSERT_TRUE(r.ok());
   EXPECT_EQ(r.value().relation.NumRows(), 0u);
 }
@@ -85,8 +88,8 @@ TEST(PushdownTest, RepeatedVariablesAreNotTouched) {
   CoreGqlQuery optimized = PushDownConditions(q, &stats);
   EXPECT_EQ(stats.labels_pushed, 0u);
   // u is unbound at the top level, so the block is empty either way.
-  Result<CoreQueryResult> before = EvalCoreGqlQuery(g, q);
-  Result<CoreQueryResult> after = EvalCoreGqlQuery(g, optimized);
+  Result<CoreQueryResult> before = SnapshotEvalCoreGqlQuery(g, q);
+  Result<CoreQueryResult> after = SnapshotEvalCoreGqlQuery(g, optimized);
   ASSERT_TRUE(before.ok());
   ASSERT_TRUE(after.ok());
   EXPECT_EQ(before.value().relation.NumRows(), 0u);
@@ -103,8 +106,8 @@ TEST(PushdownTest, RandomizedEquivalence) {
           "MATCH (x) ->* (y) WHERE x.k = 0 RETURN x, y"}) {
       CoreGqlQuery original = Q(text);
       CoreGqlQuery optimized = PushDownConditions(original);
-      Result<CoreQueryResult> before = EvalCoreGqlQuery(g, original);
-      Result<CoreQueryResult> after = EvalCoreGqlQuery(g, optimized);
+      Result<CoreQueryResult> before = SnapshotEvalCoreGqlQuery(g, original);
+      Result<CoreQueryResult> after = SnapshotEvalCoreGqlQuery(g, optimized);
       ASSERT_TRUE(before.ok());
       ASSERT_TRUE(after.ok());
       EXPECT_EQ(before.value().relation.rows(),

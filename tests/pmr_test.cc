@@ -72,7 +72,9 @@ TEST(PmrTest, Figure5ParallelChainIsLinearSizeForExponentialPaths) {
   const size_t n = 12;
   EdgeLabeledGraph g = ParallelChain(n);
   Nfa nfa = Nfa::FromRegex(*Rx("a*"), g);
-  Pmr pmr = BuildPmrBetween(g, nfa, *g.FindNode("s"), *g.FindNode("t"));
+  Pmr pmr =
+      BuildPmrBetween(GraphSnapshot(g), nfa, *g.FindNode("s"),
+                      *g.FindNode("t"));
   EXPECT_EQ(CountPmrWalks(pmr)->ToString(),
             std::to_string(uint64_t{1} << n));
   EXPECT_LE(pmr.NumNodes(), (n + 1) * nfa.num_states());
@@ -83,6 +85,13 @@ struct PmrCase {
   uint64_t seed;
   const char* regex;
 };
+
+// Prints the case by value: gtest's default dump of the raw bytes would put
+// the regex pointer's address, which moves from build to build, into the
+// test name.
+void PrintTo(const PmrCase& c, std::ostream* os) {
+  *os << "{" << c.seed << ", \"" << c.regex << "\"}";
+}
 
 class PmrAgreementTest : public ::testing::TestWithParam<PmrCase> {};
 
@@ -95,7 +104,7 @@ TEST_P(PmrAgreementTest, SPathsMatchBruteForce) {
   const size_t max_len = 5;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      Pmr pmr = BuildPmrBetween(g, nfa, u, v);
+      Pmr pmr = BuildPmrBetween(GraphSnapshot(g), nfa, u, v);
       EnumerationLimits limits;
       limits.max_length = max_len;
       std::vector<PathBinding> got = CollectPathBindings(pmr, limits);
@@ -127,7 +136,7 @@ TEST_P(LrpqBindingTest, BindingsMatchBruteForce) {
   const size_t max_len = 4;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      Pmr pmr = BuildPmrBetween(g, nfa, u, v);
+      Pmr pmr = BuildPmrBetween(GraphSnapshot(g), nfa, u, v);
       EnumerationLimits limits;
       limits.max_length = max_len;
       std::vector<PathBinding> got = CollectPathBindings(pmr, limits);
@@ -168,7 +177,9 @@ TEST(PmrTest, ShortestRestrictionKeepsOnlyGeodesics) {
   // Figure 2: shortest Transfer-paths a3 → a1 have length 2 (t7 t4).
   EdgeLabeledGraph g = Figure2Graph();
   Nfa nfa = Nfa::FromRegex(*Rx("(Transfer^z)+"), g);
-  Pmr pmr = BuildPmrBetween(g, nfa, *g.FindNode("a3"), *g.FindNode("a1"))
+  Pmr pmr =
+      BuildPmrBetween(GraphSnapshot(g), nfa, *g.FindNode("a3"),
+                      *g.FindNode("a1"))
                 .ShortestRestriction();
   std::vector<PathBinding> paths =
       CollectPathBindings(pmr, EnumerationLimits{});
@@ -180,7 +191,7 @@ TEST(PmrTest, ShortestRestrictionKeepsOnlyGeodesics) {
 TEST(PmrTest, EmptyWhenNoPath) {
   EdgeLabeledGraph g = Chain(2);
   Nfa nfa = Nfa::FromRegex(*Rx("b"), g);
-  Pmr pmr = BuildPmrBetween(g, nfa, 0, 2);
+  Pmr pmr = BuildPmrBetween(GraphSnapshot(g), nfa, 0, 2);
   EXPECT_EQ(pmr.NumNodes(), 0u);
   EXPECT_TRUE(CollectPathBindings(pmr, EnumerationLimits{}).empty());
   EXPECT_EQ(CountPmrWalks(pmr)->ToString(), "0");
@@ -189,7 +200,7 @@ TEST(PmrTest, EmptyWhenNoPath) {
 TEST(PmrTest, EpsilonSelfPath) {
   EdgeLabeledGraph g = Chain(1);
   Nfa nfa = Nfa::FromRegex(*Rx("a*"), g);
-  Pmr pmr = BuildPmrBetween(g, nfa, 0, 0);
+  Pmr pmr = BuildPmrBetween(GraphSnapshot(g), nfa, 0, 0);
   std::vector<PathBinding> paths =
       CollectPathBindings(pmr, EnumerationLimits{});
   ASSERT_EQ(paths.size(), 1u);

@@ -11,9 +11,12 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
 #include "src/util/biguint.h"
+#include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
+
+using testing_util::SnapshotEvalPatternPaths;
 
 TEST(BigUintPropertyTest, AgreesWithNativeWideArithmetic) {
   std::mt19937_64 rng(12345);
@@ -157,8 +160,8 @@ TEST(PatternConsistencyTest, PairsEqualPathProjectionsOnRandomGraphs) {
           "(x) (-[e]-> () WHERE e.k > 1)? (y)",
           "(x) (->|->->) (y)"}) {
       CorePatternPtr p = ParseCorePattern(text).ValueOrDie();
-      auto pairs = EvalPatternPairs(g, *p).ValueOrDie();
-      auto paths = EvalPatternPaths(g, *p).ValueOrDie();
+      auto pairs = EvalPatternPairs(g, *p, GraphSnapshot(g)).ValueOrDie();
+      auto paths = SnapshotEvalPatternPaths(g, *p).ValueOrDie();
       ASSERT_FALSE(paths.truncated) << text;
       std::set<CorePairRow> projected;
       for (const CorePathRow& r : paths.rows) {

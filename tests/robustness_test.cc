@@ -28,6 +28,7 @@ namespace gqzoo {
 namespace {
 
 using testing_util::Rx;
+using testing_util::SnapshotRunCoreGql;
 
 // Random strings over the token-ish character set; every parser must
 // return (not crash, not hang) — ok or error both being acceptable.
@@ -159,17 +160,17 @@ TEST(ConsistencyTest, PairEvaluatorsAgree) {
     EdgeLabeledGraph g = RandomGraph(10, 25, 2, seed);
     for (const char* regex : {"a*", "(a b)+", "a (a|b)* b?"}) {
       Nfa nfa = Nfa::FromRegex(*Rx(regex), g);
-      auto pairs = EvalRpq(g, nfa);
+      auto pairs = EvalRpq(GraphSnapshot(g), nfa);
       std::set<std::pair<NodeId, NodeId>> all(pairs.begin(), pairs.end());
       for (NodeId u = 0; u < g.NumNodes(); ++u) {
-        std::vector<NodeId> from = EvalRpqFrom(g, nfa, u);
+        std::vector<NodeId> from = EvalRpqFrom(GraphSnapshot(g), nfa, u);
         std::set<NodeId> from_set(from.begin(), from.end());
         for (NodeId v = 0; v < g.NumNodes(); ++v) {
           bool in_all = all.count({u, v}) > 0;
           EXPECT_EQ(in_all, from_set.count(v) > 0) << regex;
-          EXPECT_EQ(in_all, EvalRpqPair(g, nfa, u, v)) << regex;
+          EXPECT_EQ(in_all, EvalRpqPair(GraphSnapshot(g), nfa, u, v)) << regex;
           // And the PMR is non-empty exactly for answer pairs.
-          Pmr pmr = BuildPmrBetween(g, nfa, u, v);
+          Pmr pmr = BuildPmrBetween(GraphSnapshot(g), nfa, u, v);
           EXPECT_EQ(in_all, pmr.NumNodes() > 0) << regex;
         }
       }
@@ -183,7 +184,8 @@ TEST(ConsistencyTest, DlShortestLengthMatchesEnumeration) {
     DlNfa nfa = DlNfa::FromRegex(
         *ParseRegex("( ()[a] )+ (k < 2)", RegexDialect::kDl).ValueOrDie(),
         g);
-    DlEvaluator evaluator(g, nfa);
+    GraphSnapshot snapshot(g);
+    DlEvaluator evaluator(g, nfa, &snapshot);
     EnumerationLimits limits;
     limits.max_length = 12;
     for (NodeId u = 0; u < g.NumNodes(); ++u) {
@@ -208,7 +210,8 @@ TEST(ConsistencyTest, ReachableFromMatchesCollectedEndpoints) {
   PropertyGraph g = RandomPropertyGraph(7, 18, 3, 55);
   DlNfa nfa = DlNfa::FromRegex(
       *ParseRegex("( ()[a] ){1,4} ()", RegexDialect::kDl).ValueOrDie(), g);
-  DlEvaluator evaluator(g, nfa);
+  GraphSnapshot snapshot(g);
+  DlEvaluator evaluator(g, nfa, &snapshot);
   EnumerationLimits limits;
   limits.max_length = 6;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
@@ -256,9 +259,9 @@ TEST(ConsistencyTest, CoreGqlPathlessAndPathBlocksAgreeOnElements) {
   // The same pattern evaluated with and without a path binding projects to
   // the same element rows.
   Result<CoreQueryResult> plain =
-      RunCoreGql(g, "MATCH (x)-[e]->(y) RETURN x, e, y");
+      SnapshotRunCoreGql(g, "MATCH (x)-[e]->(y) RETURN x, e, y");
   Result<CoreQueryResult> with_path =
-      RunCoreGql(g, "MATCH p = (x)-[e]->(y) RETURN x, e, y");
+      SnapshotRunCoreGql(g, "MATCH p = (x)-[e]->(y) RETURN x, e, y");
   ASSERT_TRUE(plain.ok());
   ASSERT_TRUE(with_path.ok());
   EXPECT_EQ(plain.value().relation.rows(), with_path.value().relation.rows());

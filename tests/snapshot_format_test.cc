@@ -39,6 +39,10 @@ using storage::MappedGraph;
 using storage::SnapshotCodec;
 using storage::SnapshotFile;
 using testing_util::Rx;
+using testing_util::SnapshotEvalCrpq;
+using testing_util::SnapshotEvalDlCrpq;
+using testing_util::SnapshotEvalGqlGroupPattern;
+using testing_util::SnapshotRunCoreGql;
 
 class TempDir {
  public:
@@ -233,10 +237,12 @@ TEST(MappedDifferentialTest, RpqAndBagSemanticsAgree) {
   const EdgeLabeledGraph& mg = m.graph->skeleton();
   for (const char* regex : {"a*", "(a|b)+ c", "!{a} b*"}) {
     Nfa nfa = Nfa::FromRegex(*Rx(regex), g);
-    EXPECT_EQ(EvalRpq(mg, nfa), EvalRpq(g, nfa)) << regex;
-    EXPECT_EQ(EvalRpq(*m.snapshot, nfa), EvalRpq(g, nfa)) << regex;
+    EXPECT_EQ(EvalRpq(GraphSnapshot(mg), nfa), EvalRpq(GraphSnapshot(g),
+                                                       nfa)) << regex;
+    EXPECT_EQ(EvalRpq(*m.snapshot, nfa), EvalRpq(GraphSnapshot(g),
+                                                 nfa)) << regex;
     EXPECT_EQ(BagCountTotal(*Rx(regex), *m.snapshot).ToString(),
-              BagCountTotal(*Rx(regex), g).ToString())
+              BagCountTotal(*Rx(regex), GraphSnapshot(g)).ToString())
         << regex;
   }
 }
@@ -254,14 +260,14 @@ TEST(MappedDifferentialTest, CrpqEvaluationAgrees) {
   for (const char* text : queries) {
     Result<Crpq> q = ParseCrpq(text);
     ASSERT_TRUE(q.ok()) << text;
-    Result<CrpqResult> seed_r = EvalCrpq(g, q.value());
-    ASSERT_TRUE(seed_r.ok());
+    Result<CrpqResult> built_r = SnapshotEvalCrpq(g, q.value());
+    ASSERT_TRUE(built_r.ok());
     CrpqEvalOptions options;
     options.snapshot = m.snapshot.get();
     Result<CrpqResult> mapped_r =
         EvalCrpq(m.graph->skeleton(), q.value(), options);
     ASSERT_TRUE(mapped_r.ok()) << mapped_r.error().message();
-    EXPECT_EQ(CrpqRows(g, seed_r.value()),
+    EXPECT_EQ(CrpqRows(g, built_r.value()),
               CrpqRows(m.graph->skeleton(), mapped_r.value()))
         << text;
   }
@@ -279,13 +285,13 @@ TEST(MappedDifferentialTest, DlCrpqEvaluationAgrees) {
   for (const char* text : queries) {
     Result<Crpq> q = ParseCrpq(text, RegexDialect::kDl);
     ASSERT_TRUE(q.ok()) << text << ": " << q.error().message();
-    Result<CrpqResult> seed_r = EvalDlCrpq(g, q.value());
-    ASSERT_TRUE(seed_r.ok()) << seed_r.error().message();
+    Result<CrpqResult> built_r = SnapshotEvalDlCrpq(g, q.value());
+    ASSERT_TRUE(built_r.ok()) << built_r.error().message();
     DlCrpqEvalOptions options;
     options.snapshot = m.snapshot.get();
     Result<CrpqResult> mapped_r = EvalDlCrpq(*m.graph, q.value(), options);
     ASSERT_TRUE(mapped_r.ok()) << mapped_r.error().message();
-    EXPECT_EQ(CrpqRows(g.skeleton(), seed_r.value()),
+    EXPECT_EQ(CrpqRows(g.skeleton(), built_r.value()),
               CrpqRows(m.graph->skeleton(), mapped_r.value()))
         << text;
   }
@@ -301,13 +307,13 @@ TEST(MappedDifferentialTest, CoreGqlQueriesAgree) {
       "MATCH (x)-[e:a]->(y) WHERE e.k = 3 RETURN x, y",
   };
   for (const char* text : queries) {
-    Result<CoreQueryResult> seed_r = RunCoreGql(g, text);
-    ASSERT_TRUE(seed_r.ok()) << text << ": " << seed_r.error().message();
+    Result<CoreQueryResult> built_r = SnapshotRunCoreGql(g, text);
+    ASSERT_TRUE(built_r.ok()) << text << ": " << built_r.error().message();
     CoreQueryEvalOptions options;
     options.path_options.snapshot = m.snapshot.get();
     Result<CoreQueryResult> mapped_r = RunCoreGql(*m.graph, text, options);
     ASSERT_TRUE(mapped_r.ok()) << mapped_r.error().message();
-    EXPECT_EQ(seed_r.value().relation.ToString(g.skeleton()),
+    EXPECT_EQ(built_r.value().relation.ToString(g.skeleton()),
               mapped_r.value().relation.ToString(m.graph->skeleton()))
         << text;
   }
@@ -324,17 +330,18 @@ TEST(MappedDifferentialTest, GqlGroupPatternsAgree) {
   for (const char* text : patterns) {
     Result<CorePatternPtr> p = ParseCorePattern(text);
     ASSERT_TRUE(p.ok()) << text << ": " << p.error().message();
-    Result<GqlEvalResult> seed_r = EvalGqlGroupPattern(g, *p.value());
-    ASSERT_TRUE(seed_r.ok()) << seed_r.error().message();
+    Result<GqlEvalResult> built_r =
+        SnapshotEvalGqlGroupPattern(g, *p.value());
+    ASSERT_TRUE(built_r.ok()) << built_r.error().message();
     CorePathEvalOptions options;
     options.snapshot = m.snapshot.get();
     Result<GqlEvalResult> mapped_r =
         EvalGqlGroupPattern(*m.graph, *p.value(), options);
     ASSERT_TRUE(mapped_r.ok()) << mapped_r.error().message();
-    ASSERT_EQ(seed_r.value().rows.size(), mapped_r.value().rows.size())
+    ASSERT_EQ(built_r.value().rows.size(), mapped_r.value().rows.size())
         << text;
-    for (size_t i = 0; i < seed_r.value().rows.size(); ++i) {
-      EXPECT_EQ(seed_r.value().rows[i].path.ToString(g.skeleton()),
+    for (size_t i = 0; i < built_r.value().rows.size(); ++i) {
+      EXPECT_EQ(built_r.value().rows[i].path.ToString(g.skeleton()),
                 mapped_r.value().rows[i].path.ToString(m.graph->skeleton()));
     }
   }

@@ -1,5 +1,7 @@
 #include "tests/test_util.h"
 
+#include "src/rpq/rpq_eval.h"
+
 #include <algorithm>
 #include <cstdio>
 #include <cstdlib>
@@ -25,6 +27,57 @@ RegexPtr DlRx(const std::string& text) {
     abort();
   }
   return r.value();
+}
+
+Result<CrpqResult> SnapshotEvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
+                                    CrpqEvalOptions options) {
+  GraphSnapshot snapshot(g);
+  options.snapshot = &snapshot;
+  return EvalCrpq(g, q, options);
+}
+
+Result<CrpqResult> SnapshotEvalDlCrpq(const PropertyGraph& g, const Crpq& q,
+                                      DlCrpqEvalOptions options) {
+  GraphSnapshot snapshot(g);
+  options.snapshot = &snapshot;
+  return EvalDlCrpq(g, q, options);
+}
+
+Result<CoreQueryResult> SnapshotEvalCoreGqlQuery(const PropertyGraph& g,
+                                                 const CoreGqlQuery& query,
+                                                 CoreQueryEvalOptions options) {
+  GraphSnapshot snapshot(g);
+  options.path_options.snapshot = &snapshot;
+  return EvalCoreGqlQuery(g, query, options);
+}
+
+Result<CoreQueryResult> SnapshotRunCoreGql(const PropertyGraph& g,
+                                           const std::string& text,
+                                           CoreQueryEvalOptions options) {
+  GraphSnapshot snapshot(g);
+  options.path_options.snapshot = &snapshot;
+  return RunCoreGql(g, text, options);
+}
+
+Result<CorePathEvalResult> SnapshotEvalPatternPaths(
+    const PropertyGraph& g, const CorePattern& pattern,
+    CorePathEvalOptions options) {
+  GraphSnapshot snapshot(g);
+  options.snapshot = &snapshot;
+  return EvalPatternPaths(g, pattern, options);
+}
+
+Result<GqlEvalResult> SnapshotEvalGqlGroupPattern(
+    const PropertyGraph& g, const CorePattern& pattern,
+    CorePathEvalOptions options) {
+  GraphSnapshot snapshot(g);
+  options.snapshot = &snapshot;
+  return EvalGqlGroupPattern(g, pattern, options);
+}
+
+std::vector<std::pair<NodeId, NodeId>> SnapshotEvalRpq(
+    const EdgeLabeledGraph& g, const Regex& regex) {
+  return EvalRpq(GraphSnapshot(g), Nfa::FromRegex(regex, g));
 }
 
 std::vector<Path> AllPathsFrom(const EdgeLabeledGraph& g, NodeId u,

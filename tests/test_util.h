@@ -5,6 +5,11 @@
 #include <vector>
 
 #include "src/automata/nfa.h"
+#include "src/coregql/group_eval.h"
+#include "src/coregql/query.h"
+#include "src/crpq/eval.h"
+#include "src/datatest/dl_eval.h"
+#include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/graph/path_binding.h"
 #include "src/regex/parser.h"
@@ -34,6 +39,29 @@ std::vector<Path> MatchingPathsBruteForce(const EdgeLabeledGraph& g,
 std::vector<PathBinding> MatchingBindingsBruteForce(const EdgeLabeledGraph& g,
                                                     const Nfa& nfa, NodeId u,
                                                     NodeId v, size_t max_len);
+
+/// The evaluators read a `GraphSnapshot`; these build one of `g` for the
+/// call, set it in `options`, and evaluate.
+Result<CrpqResult> SnapshotEvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
+                                    CrpqEvalOptions options = {});
+Result<CrpqResult> SnapshotEvalDlCrpq(const PropertyGraph& g, const Crpq& q,
+                                      DlCrpqEvalOptions options = {});
+Result<CoreQueryResult> SnapshotEvalCoreGqlQuery(
+    const PropertyGraph& g, const CoreGqlQuery& query,
+    CoreQueryEvalOptions options = {});
+Result<CoreQueryResult> SnapshotRunCoreGql(const PropertyGraph& g,
+                                           const std::string& text,
+                                           CoreQueryEvalOptions options = {});
+Result<CorePathEvalResult> SnapshotEvalPatternPaths(
+    const PropertyGraph& g, const CorePattern& pattern,
+    CorePathEvalOptions options = {});
+Result<GqlEvalResult> SnapshotEvalGqlGroupPattern(
+    const PropertyGraph& g, const CorePattern& pattern,
+    CorePathEvalOptions options = {});
+
+/// [[R]]_G over a snapshot of `g`, with `regex` compiled against `g`.
+std::vector<std::pair<NodeId, NodeId>> SnapshotEvalRpq(
+    const EdgeLabeledGraph& g, const Regex& regex);
 
 /// Node names of pairs for readable assertions: {"a1->a2", ...}.
 std::vector<std::string> PairNames(const EdgeLabeledGraph& g,

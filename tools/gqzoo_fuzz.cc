@@ -3,9 +3,10 @@
 // Every case is derived from a single 64-bit seed: a random property graph
 // (paper-shaped families: chains, cliques, diamonds, parallel chains), a
 // random query in one of the zoo languages, and optionally an injected
-// resource budget. Each case runs through the full substrate matrix
-// (graph-scan vs CSR snapshot, serial vs sharded, planner vs textual join
-// order, cold vs cached plan, budget/fail-point injection) plus the
+// resource budget. Each case runs through the full leg matrix
+// (definitional reference vs CSR evaluators, built vs mapped snapshot,
+// serial vs sharded, planner vs textual join order, cold vs cached plan,
+// budget/fail-point injection) plus the
 // metamorphic properties; any disagreement is minimized with delta
 // debugging and emitted as a ready-to-commit corpus file and regression
 // test.
