@@ -129,7 +129,7 @@ std::vector<PathBinding> CollectModePaths(const GraphSnapshot& s,
   EnumerationStats local;
   switch (mode) {
     case PathMode::kAll: {
-      Pmr pmr = BuildPmrBetween(s, nfa, u, v);
+      Pmr pmr = BuildPmrBetween(s, nfa, u, v, limits.cancel);
       // Charge the succinct representation itself (nodes + edges) for the
       // duration of the enumeration; the emitted bindings are charged by
       // the enumerator.
@@ -143,7 +143,8 @@ std::vector<PathBinding> CollectModePaths(const GraphSnapshot& s,
       break;
     }
     case PathMode::kShortest: {
-      Pmr pmr = BuildPmrBetween(s, nfa, u, v).ShortestRestriction();
+      Pmr pmr = BuildPmrBetween(s, nfa, u, v, limits.cancel)
+                    .ShortestRestriction();
       ScopedMemoryCharge pmr_bytes(limits.cancel);
       if (!pmr_bytes.Charge(pmr.NumNodes() * 32 + pmr.NumEdges() * 16)) {
         local.cancelled = true;

@@ -886,7 +886,7 @@ Result<QueryResponse> QueryEngine::ExecutePlan(
         return Error(ErrorCode::kInvalidArgument,
                      "kshortest requires a plain one-way regex");
       }
-      Pmr pmr = BuildPmrBetween(snapshot, *paths->nfa, *u, *v);
+      Pmr pmr = BuildPmrBetween(snapshot, *paths->nfa, *u, *v, cancel);
       std::vector<PathBinding> results =
           KShortestPathBindings(pmr, request.paths.k_shortest, cancel);
       size_t shown = 0;

@@ -1,13 +1,12 @@
 #ifndef GQZOO_PMR_BUILD_H_
 #define GQZOO_PMR_BUILD_H_
 
-#include <optional>
 #include <vector>
 
 #include "src/automata/nfa.h"
 #include "src/graph/csr.h"
 #include "src/pmr/pmr.h"
-#include "src/rpq/product_graph.h"
+#include "src/util/cancellation.h"
 
 namespace gqzoo {
 
@@ -18,15 +17,30 @@ namespace gqzoo {
 /// result also represents the l-RPQ bindings.
 ///
 /// When `sources` (`targets`) is empty, all graph nodes qualify. The
-/// underlying product graph is built from the snapshot's label slices
-/// (each NFA transition pulls exactly its matching edges).
+/// product `G × N_R` (Section 6.2) is never materialized: a forward BFS
+/// from the sources `(u, q0)` expands each reached state `(v, q)` by
+/// `nfa.Out(q)` × `GraphSnapshot::ForEachMatch`, exactly like the lazy
+/// BFS of rpq_eval, and only reached states become PMR nodes. `Trim()`
+/// then keeps the part co-reachable to the accepting copies of the
+/// targets.
+///
+/// Sources keep the order given (node-id order when `sources` is empty),
+/// and every node's out-arcs are in edge-major order (edge ids ascending,
+/// the NFA's transition order on ties). The enumerators (enumerate.h)
+/// depend only on those two orders, so the prefix a truncated enumeration
+/// keeps does not depend on how the product was explored.
+///
+/// Reached states and arcs are charged to `cancel` while the build runs,
+/// and each dequeued state probes it; once it trips the result is an empty
+/// PMR and the caller reads the stop cause from the context.
 Pmr BuildPmr(const GraphSnapshot& s, const Nfa& nfa,
              const std::vector<NodeId>& sources,
-             const std::vector<NodeId>& targets);
+             const std::vector<NodeId>& targets,
+             const CancellationToken* cancel = nullptr);
 
 /// Convenience: single endpoint pair (σ_{u,v}([[R]]_G) as a PMR).
 Pmr BuildPmrBetween(const GraphSnapshot& s, const Nfa& nfa, NodeId u,
-                    NodeId v);
+                    NodeId v, const CancellationToken* cancel = nullptr);
 
 }  // namespace gqzoo
 

@@ -16,7 +16,10 @@ namespace gqzoo {
 ///
 /// Every entry point runs over a `GraphSnapshot`: each NFA transition
 /// iterates only the label slice it needs, O(deg_label(v)) per step
-/// (wildcards take the node's full slice).
+/// (wildcards take the node's full slice). The product is never
+/// materialized: a BFS expands each reached state `(v, q)` by
+/// `nfa.Out(q)` × `GraphSnapshot::ForEachMatch`, the same expansion the
+/// PMR builder (pmr/build.h) uses to keep the paths themselves.
 ///
 /// All entry points accept an optional cooperative `CancellationToken`;
 /// when it trips mid-search the result is a (valid but incomplete) prefix —

@@ -1,12 +1,13 @@
 // GraphSnapshot (label-indexed CSR) coverage: slice primitives against
 // brute-force adjacency filtering, differential tests pinning the
 // snapshot-backed evaluators to the definitional reference
-// (src/fuzz/reference.h), the 64-bit product-state id regression, and
-// parallel RPQ sharding.
+// (src/fuzz/reference.h), the 64-bit product-state id regressions, the
+// PMR builder's arc order, and parallel RPQ sharding.
 
 #include <gtest/gtest.h>
 
 #include <algorithm>
+#include <cstdint>
 #include <random>
 #include <set>
 #include <string>
@@ -29,7 +30,6 @@
 #include "src/pmr/enumerate.h"
 #include "src/rpq/bag_semantics.h"
 #include "src/rpq/cardinality.h"
-#include "src/rpq/product_graph.h"
 #include "src/rpq/rpq_eval.h"
 #include "src/util/query_context.h"
 #include "src/util/thread_pool.h"
@@ -39,6 +39,7 @@ namespace gqzoo {
 namespace {
 
 using testing_util::Rx;
+using testing_util::TrimmedProductStates;
 
 // ---------------------------------------------------------------------------
 // Slice primitives.
@@ -184,15 +185,24 @@ TEST(RpqOverflowRegressionTest, ProductIdsPastFourBillionDoNotAlias) {
   EXPECT_TRUE(EvalRpqPair(snap, nfa, nodes[0], nodes[65535]));
 }
 
-TEST(RpqOverflowRegressionTest, MaterializedProductPastLimitThrows) {
-  // ProductGraph materializes per-node adjacency, so it keeps 32-bit ids
-  // but must refuse (not wrap) when the product exceeds them.
+TEST(RpqOverflowRegressionTest, PmrPastFourBillionStatesBuildsFromEndpoints) {
+  // The PMR builder numbers only the product states it reaches, so a
+  // product past 2^32 states (which no materialization could hold) is no
+  // obstacle: from (0, q0), with no edges, the PMR is the empty path.
   EdgeLabeledGraph g;
   for (size_t i = 0; i < 65536; ++i) g.AddNode("n" + std::to_string(i));
   Nfa nfa(65537);
   nfa.set_accepting(0, true);
   GraphSnapshot snap(g);
-  EXPECT_THROW(ProductGraph(snap, nfa), std::length_error);
+  Pmr pmr = BuildPmrBetween(snap, nfa, 0, 0);
+  ASSERT_EQ(pmr.NumNodes(), 1u);
+  EXPECT_EQ(pmr.NumEdges(), 0u);
+  EXPECT_EQ(pmr.GammaNode(0), 0u);
+  EXPECT_EQ(pmr.sources(), (std::vector<uint32_t>{0}));
+  EXPECT_TRUE(pmr.IsTarget(0));
+  std::vector<PathBinding> paths = CollectPathBindings(pmr, {});
+  ASSERT_EQ(paths.size(), 1u);
+  EXPECT_EQ(paths[0].path.Length(), 0u);
 }
 
 // ---------------------------------------------------------------------------
@@ -206,6 +216,13 @@ struct DiffCase {
   uint64_t seed;
   const char* regex;
 };
+
+// Prints the case by value: gtest's default dump of the raw bytes would put
+// the regex pointer's address, which moves from build to build, into the
+// test name.
+void PrintTo(const DiffCase& c, std::ostream* os) {
+  *os << "{" << c.seed << ", \"" << c.regex << "\"}";
+}
 
 class SnapshotRpqDifferentialTest : public ::testing::TestWithParam<DiffCase> {
 };
@@ -246,39 +263,80 @@ INSTANTIATE_TEST_SUITE_P(
                       DiffCase{5, "_ _"}, DiffCase{6, "(a b)* (c|d)"},
                       DiffCase{7, "~a* b"}, DiffCase{8, "(~a|b)*"}));
 
-TEST(SnapshotDifferentialTest, ProductGraphArcOrderMatchesSeed) {
-  // The label-sliced construction canonicalizes every node's arcs to the
-  // order of an edge-major scan (edges by id, then states, then each
-  // state's transitions), which truncated PMR enumeration depends on.
+TEST(SnapshotDifferentialTest, PmrArcOrderMatchesEdgeMajorScan) {
+  // Every PMR node's out-arcs come in the order of an explicit edge-major
+  // scan of the product (edges by id, then each state's transitions in
+  // order), restricted to the trimmed product; truncated PMR enumeration
+  // keeps a prefix in this order. PMR nodes are matched to product states
+  // by walking from the sources, which are the kept (u, q0) in node order.
   for (uint64_t seed : {3u, 17u, 91u}) {
     EdgeLabeledGraph g = RandomGraph(25, 120, 6, seed);
     GraphSnapshot snap(g);
-    for (const char* regex : {"a (b|c)*", "!{a} d*", "_ a"}) {
+    for (const char* regex :
+         {"a (b|c)*", "!{a} d*", "_ a", "(a|a^z) (b^z|_)*"}) {
       Nfa nfa = Nfa::FromRegex(*Rx(regex), g);
-      ProductGraph product(snap, nfa);
       const uint32_t states = nfa.num_states();
-      std::vector<std::vector<ProductGraph::Arc>> expected(
-          g.NumNodes() * states);
+      struct Step {
+        EdgeId edge;
+        size_t to;  // product state id
+        uint32_t capture;
+      };
+      const std::vector<bool> keep = TrimmedProductStates(g, nfa);
+      std::vector<std::vector<Step>> expected(keep.size());
       for (EdgeId e = 0; e < g.NumEdges(); ++e) {
         for (uint32_t q = 0; q < states; ++q) {
           for (const Nfa::Transition& t : nfa.Out(q)) {
-            if (!t.pred.Matches(g.EdgeLabel(e))) continue;
-            expected[g.Src(e) * states + q].push_back(
-                {g.Tgt(e) * states + t.to, e, t.capture, false});
+            const size_t from = g.Src(e) * states + q;
+            const size_t to = g.Tgt(e) * states + t.to;
+            if (!t.pred.Matches(g.EdgeLabel(e)) || !keep[from] || !keep[to]) {
+              continue;
+            }
+            expected[from].push_back({e, to, t.capture});
           }
         }
       }
-      ASSERT_EQ(product.num_product_nodes(), expected.size());
-      for (uint32_t id = 0; id < product.num_product_nodes(); ++id) {
-        const auto& got = product.Out(id);
-        ASSERT_EQ(got.size(), expected[id].size()) << regex << " node " << id;
-        for (size_t i = 0; i < got.size(); ++i) {
-          EXPECT_EQ(got[i].to, expected[id][i].to);
-          EXPECT_EQ(got[i].edge, expected[id][i].edge);
-          EXPECT_EQ(got[i].capture, expected[id][i].capture);
-          EXPECT_FALSE(got[i].reversed);
+
+      Pmr pmr = BuildPmr(snap, nfa, {}, {});
+      constexpr size_t kUnmatched = SIZE_MAX;
+      std::vector<size_t> state_of(pmr.NumNodes(), kUnmatched);
+      std::vector<size_t> expected_sources;
+      for (NodeId u = 0; u < g.NumNodes(); ++u) {
+        if (keep[u * states + nfa.initial()]) {
+          expected_sources.push_back(u * states + nfa.initial());
         }
       }
+      ASSERT_EQ(pmr.sources().size(), expected_sources.size()) << regex;
+      std::vector<uint32_t> stack;
+      for (size_t i = 0; i < expected_sources.size(); ++i) {
+        state_of[pmr.sources()[i]] = expected_sources[i];
+        stack.push_back(pmr.sources()[i]);
+      }
+      while (!stack.empty()) {
+        const uint32_t n = stack.back();
+        stack.pop_back();
+        const size_t id = state_of[n];
+        EXPECT_EQ(pmr.GammaNode(n), id / states);
+        EXPECT_EQ(pmr.IsTarget(n), nfa.accepting(id % states));
+        const std::vector<uint32_t>& got = pmr.Out(n);
+        ASSERT_EQ(got.size(), expected[id].size()) << regex << " state " << id;
+        for (size_t i = 0; i < got.size(); ++i) {
+          const Pmr::Edge& arc = pmr.GetEdge(got[i]);
+          const Step& step = expected[id][i];
+          EXPECT_EQ(arc.gamma, step.edge) << regex << " state " << id;
+          EXPECT_EQ(arc.capture, step.capture) << regex << " state " << id;
+          if (state_of[arc.to] == kUnmatched) {
+            state_of[arc.to] = step.to;
+            stack.push_back(arc.to);
+          }
+          ASSERT_EQ(state_of[arc.to], step.to) << regex << " state " << id;
+        }
+      }
+      // Every kept product state is exactly one PMR node.
+      EXPECT_EQ(std::count(state_of.begin(), state_of.end(), kUnmatched), 0);
+      EXPECT_EQ(std::set<size_t>(state_of.begin(), state_of.end()).size(),
+                pmr.NumNodes());
+      EXPECT_EQ(pmr.NumNodes(),
+                static_cast<size_t>(std::count(keep.begin(), keep.end(), true)));
     }
   }
 }

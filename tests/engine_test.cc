@@ -441,6 +441,53 @@ TEST(QueryEngineTest, StepBudgetBoundsWork) {
       << r.error().message();
 }
 
+TEST(QueryEngineTest, PathsBuildOnlyTheProductBetweenTheEndpoints) {
+  // A 200-atom concatenation on a 200k-edge chain: the whole product has
+  // ~4·10^7 states, the part reachable from (u1, q0) about 200. Paths
+  // requests must build only the latter, well inside a 10 MB budget and a
+  // deadline that a whole-product construction misses by far. (Regexes
+  // far longer than this overflow the recursive Glushkov construction's
+  // stack in sanitizer builds.)
+  QueryEngine engine(ToPropertyGraph(Chain(200000)));
+  std::string regex = "a";
+  for (int i = 1; i < 200; ++i) regex += " a";
+  for (PathMode mode : {PathMode::kShortest, PathMode::kAll}) {
+    QueryRequest request = Req(QueryLanguage::kPaths, regex);
+    request.paths.from = "u1";
+    request.paths.to = "u6";
+    request.paths.mode = mode;
+    request.memory_budget = 10'000'000;
+    request.timeout = std::chrono::milliseconds(10000);
+    Result<QueryResponse> r = engine.Execute(request);
+    ASSERT_TRUE(r.ok()) << PathModeName(mode) << ": " << r.error().message();
+    EXPECT_EQ(r.value().num_rows, 0u) << PathModeName(mode);
+  }
+}
+
+TEST(QueryEngineTest, MemoryBudgetTripsWhileBuildingPathPmr) {
+  // `a*` from the head of a 100k-edge chain reaches every chain node; the
+  // reached states alone exceed a 4 MB budget, so the PMR build trips
+  // even though the trimmed u1→u2 PMR is tiny.
+  QueryEngine engine(ToPropertyGraph(Chain(100000)));
+  QueryRequest request = Req(QueryLanguage::kPaths, "a*");
+  request.paths.from = "u1";
+  request.paths.to = "u2";
+  request.memory_budget = 4'000'000;
+  for (uint32_t k : {0u, 2u}) {
+    request.paths.k_shortest = k;
+    Result<QueryResponse> r = engine.Execute(request);
+    ASSERT_FALSE(r.ok()) << "k_shortest " << k;
+    EXPECT_EQ(r.error().code(), ErrorCode::kResourceExhausted);
+    EXPECT_NE(r.error().message().find("memory"), std::string::npos)
+        << r.error().message();
+  }
+  request.memory_budget = 0;  // unlimited: the same request succeeds
+  request.paths.k_shortest = 0;
+  Result<QueryResponse> r = engine.Execute(request);
+  ASSERT_TRUE(r.ok()) << r.error().message();
+  EXPECT_EQ(r.value().num_rows, 1u);
+}
+
 TEST(QueryEngineTest, ExplicitZeroBudgetOverridesEngineDefault) {
   QueryEngine engine(Figure5Chain(4));  // 16 s→t paths
   ResourceBudgets defaults;

@@ -24,6 +24,13 @@ struct ModeCase {
   const char* regex;
 };
 
+// Prints the case by value: gtest's default dump of the raw bytes would put
+// the regex pointer's address, which moves from build to build, into the
+// test name.
+void PrintTo(const ModeCase& c, std::ostream* os) {
+  *os << "{" << c.seed << ", \"" << c.regex << "\"}";
+}
+
 class ModeAgreementTest : public ::testing::TestWithParam<ModeCase> {};
 
 TEST_P(ModeAgreementTest, ImplementationsMatchReferenceFilter) {

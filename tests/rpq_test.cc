@@ -1,13 +1,14 @@
 #include <gtest/gtest.h>
 
+#include <algorithm>
 #include <set>
 
 #include "src/automata/counting.h"
 #include "src/automata/operations.h"
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/generators.h"
+#include "src/pmr/build.h"
 #include "src/rpq/bag_semantics.h"
-#include "src/rpq/product_graph.h"
 #include "src/rpq/rpq_eval.h"
 #include "tests/test_util.h"
 
@@ -18,22 +19,37 @@ using testing_util::MatchingPathsBruteForce;
 using testing_util::PairNames;
 using testing_util::Rx;
 using testing_util::SnapshotEvalRpq;
+using testing_util::TrimmedProductStates;
 
-TEST(ProductGraphTest, SizesMatchDefinition) {
+TEST(PmrBuildTest, ArcsAreExactlyTheAcceptingRunSteps) {
+  // The all-endpoints PMR of Section 6.4 is the trimmed product G × N_R:
+  // one node per product state on some accepting run, and one arc per
+  // (graph edge, matching transition) step between two such states.
   EdgeLabeledGraph g = Figure2Graph();
   Nfa nfa = Nfa::FromRegex(*Rx("Transfer Transfer"), g);
-  ProductGraph product{GraphSnapshot(g), nfa};
-  EXPECT_EQ(product.num_product_nodes(), g.NumNodes() * nfa.num_states());
-  // Each arc corresponds to a (graph edge, matching transition) pair.
-  size_t expected = 0;
+  Pmr pmr = BuildPmr(GraphSnapshot(g), nfa, {}, {});
+  const std::vector<bool> keep = TrimmedProductStates(g, nfa);
+  const uint32_t states = nfa.num_states();
+  std::vector<EdgeId> expected;
   for (EdgeId e = 0; e < g.NumEdges(); ++e) {
-    for (uint32_t q = 0; q < nfa.num_states(); ++q) {
+    for (uint32_t q = 0; q < states; ++q) {
       for (const Nfa::Transition& t : nfa.Out(q)) {
-        if (t.pred.Matches(g.EdgeLabel(e))) ++expected;
+        if (t.pred.Matches(g.EdgeLabel(e)) && keep[g.Src(e) * states + q] &&
+            keep[g.Tgt(e) * states + t.to]) {
+          expected.push_back(e);
+        }
       }
     }
   }
-  EXPECT_EQ(product.NumArcs(), expected);
+  ASSERT_FALSE(expected.empty());
+  EXPECT_EQ(pmr.NumNodes(),
+            static_cast<size_t>(std::count(keep.begin(), keep.end(), true)));
+  std::vector<EdgeId> got;
+  for (uint32_t e = 0; e < pmr.NumEdges(); ++e) {
+    got.push_back(pmr.GetEdge(e).gamma);
+  }
+  std::sort(got.begin(), got.end());
+  EXPECT_EQ(got, expected);  // scanned edge-major, so already sorted
 }
 
 TEST(RpqEvalTest, Example12TransferStarIsComplete) {

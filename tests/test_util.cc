@@ -110,6 +110,36 @@ std::vector<Path> MatchingPathsBruteForce(const EdgeLabeledGraph& g,
   return out;
 }
 
+std::vector<bool> TrimmedProductStates(const EdgeLabeledGraph& g,
+                                       const Nfa& nfa) {
+  const uint32_t states = nfa.num_states();
+  std::vector<bool> fwd(g.NumNodes() * states, false);
+  std::vector<bool> bwd(g.NumNodes() * states, false);
+  for (NodeId v = 0; v < g.NumNodes(); ++v) {
+    fwd[v * states + nfa.initial()] = true;
+    for (uint32_t q = 0; q < states; ++q) {
+      if (nfa.accepting(q)) bwd[v * states + q] = true;
+    }
+  }
+  for (bool changed = true; changed;) {
+    changed = false;
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      for (uint32_t q = 0; q < states; ++q) {
+        for (const Nfa::Transition& t : nfa.Out(q)) {
+          if (!t.pred.Matches(g.EdgeLabel(e))) continue;
+          const size_t from = g.Src(e) * states + q;
+          const size_t to = g.Tgt(e) * states + t.to;
+          if (fwd[from] && !fwd[to]) fwd[to] = changed = true;
+          if (bwd[to] && !bwd[from]) bwd[from] = changed = true;
+        }
+      }
+    }
+  }
+  std::vector<bool> keep(fwd.size());
+  for (size_t id = 0; id < keep.size(); ++id) keep[id] = fwd[id] && bwd[id];
+  return keep;
+}
+
 std::vector<PathBinding> MatchingBindingsBruteForce(const EdgeLabeledGraph& g,
                                                     const Nfa& nfa, NodeId u,
                                                     NodeId v, size_t max_len) {

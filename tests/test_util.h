@@ -40,6 +40,14 @@ std::vector<PathBinding> MatchingBindingsBruteForce(const EdgeLabeledGraph& g,
                                                     const Nfa& nfa, NodeId u,
                                                     NodeId v, size_t max_len);
 
+/// Brute force over the explicit product G × N_R (Section 6.2), ids
+/// `v * num_states + q`: the states reachable from some `(u, q0)` and
+/// co-reachable to some accepting state, by fixpoint over every (edge,
+/// state, transition) triple. These are the states a trimmed PMR over all
+/// endpoints keeps.
+std::vector<bool> TrimmedProductStates(const EdgeLabeledGraph& g,
+                                       const Nfa& nfa);
+
 /// The evaluators read a `GraphSnapshot`; these build one of `g` for the
 /// call, set it in `options`, and evaluate.
 Result<CrpqResult> SnapshotEvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
