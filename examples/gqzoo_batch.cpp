@@ -22,8 +22,6 @@
 //                      after the first are plan-cache hits)
 //   --explain          render each query's plan (conjunct join order +
 //                      cardinality estimates) instead of executing it
-//   --textual-order    evaluate conjuncts in textual order, ignoring the
-//                      planner (for differential runs / benchmarks)
 //   --quiet            suppress per-query output, print only the report
 //   --connect <host:port>  client mode: send the request file to a running
 //                      gqzoo_serve over the wire protocol instead of an
@@ -37,8 +35,8 @@
 //   paths <from> <to> <all|shortest|simple|trail> <regex>
 //   kshortest <k> <from> <to> <regex>
 //   crpq <rule>              dlcrpq <rule>
-//   gql <query>              gqlopt <query>
-//   gqlgroup <pattern>       regular <rules>
+//   gql <query>              gqlgroup <pattern>
+//   regular <rules>
 //   add-node <name> <label>  add-edge <name> <src> <tgt> <label>
 //   del-node <name>          del-edge <name>
 //   set-label <node> <label> set-prop node|edge <name> <property> <value>
@@ -108,10 +106,9 @@ bool ParseRequestLine(const std::string& line, QueryRequest* out,
   } else if (command == "dlcrpq") {
     request.language = QueryLanguage::kDlCrpq;
     request.text = rest;
-  } else if (command == "gql" || command == "gqlopt") {
+  } else if (command == "gql") {
     request.language = QueryLanguage::kCoreGql;
     request.text = rest;
-    request.optimize = command == "gqlopt";
   } else if (command == "gqlgroup") {
     request.language = QueryLanguage::kGqlGroup;
     request.text = rest;
@@ -163,8 +160,7 @@ int Usage(const char* argv0) {
           "usage: %s [--graph <file>] [--persist <dir>] [--no-fsync] "
           "[--group-commit-ms <n>] [--threads <n>] [--timeout-ms <n>] "
           "[--memlimit <n>] [--row-budget <n>] [--step-budget <n>] "
-          "[--capacity <n>] [--repeat <n>] [--explain] [--textual-order] "
-          "[--no-wcoj] [--batch-kernel] "
+          "[--capacity <n>] [--repeat <n>] [--explain] "
           "[--quiet] [--connect <host:port>] [--tenant <name>] "
           "<request-file>\n",
           argv0);
@@ -180,8 +176,6 @@ server::ClientQueryOptions ToClientOptions(const QueryRequest& request) {
     options.timeout_ms = static_cast<uint32_t>(request.timeout->count());
   }
   options.explain = request.explain;
-  options.optimize = request.optimize;
-  options.textual_join_order = request.textual_join_order;
   options.paths_from = request.paths.from;
   options.paths_to = request.paths.to;
   options.paths_mode = request.paths.mode == PathMode::kShortest ? 1
@@ -208,9 +202,6 @@ int main(int argc, char** argv) {
   size_t capacity = 256;
   size_t repeat = 1;
   bool explain = false;
-  bool textual_order = false;
-  bool no_wcoj = false;
-  bool batch_kernel = false;
   bool quiet = false;
   std::string connect;
   std::string tenant = "batch";
@@ -266,12 +257,6 @@ int main(int argc, char** argv) {
       tenant = value;
     } else if (strcmp(arg, "--explain") == 0) {
       explain = true;
-    } else if (strcmp(arg, "--textual-order") == 0) {
-      textual_order = true;
-    } else if (strcmp(arg, "--no-wcoj") == 0) {
-      no_wcoj = true;
-    } else if (strcmp(arg, "--batch-kernel") == 0) {
-      batch_kernel = true;
     } else if (strcmp(arg, "--quiet") == 0) {
       quiet = true;
     } else if (arg[0] == '-') {
@@ -349,12 +334,6 @@ int main(int argc, char** argv) {
         request.step_budget = static_cast<uint64_t>(step_budget);
       }
       request.explain = explain;
-      request.textual_join_order = textual_order;
-      // Join-kernel policy (in-process runs; the wire protocol does not
-      // carry these): force the wcoj path off / the batch kernel on so a
-      // request file can be raced against itself across kernels.
-      if (no_wcoj) request.use_wcoj = false;
-      if (batch_kernel) request.use_batch_kernel = true;
       parsed.request = std::move(request);
     }
     lines.push_back(std::move(parsed));

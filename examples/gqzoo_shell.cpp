@@ -27,8 +27,9 @@
 //                          the k shortest matching paths
 //   crpq <rule>            evaluate a CRPQ / l-CRPQ rule
 //   dlcrpq <rule>          evaluate a dl-CRPQ rule (dl-dialect regexes)
-//   gql <query>            run a CoreGQL MATCH/WHERE/RETURN query
-//   gqlopt <query>         same, after WHERE-pushdown optimization
+//   gql <query>            run a CoreGQL MATCH/WHERE/RETURN query (WHERE
+//                          conjuncts on labels and constants are pushed
+//                          into the patterns first; `explain` counts them)
 //   gqlgroup <pattern>     evaluate a pattern under GQL group-variable
 //                          semantics (repetition collects lists)
 //   regular <rules>        run a regular query (rules separated by ';')
@@ -45,10 +46,6 @@
 //   compact                fold the pending delta into a fresh base now
 //   timeout <ms>           set the default per-query deadline (0 = off)
 //   memlimit <bytes>       set the default per-query memory budget (0 = off)
-//   wcoj on|off|default    force the worst-case-optimal join path for
-//                          cyclic conjunct cores on or off for subsequent
-//                          queries (default = the engine's setting)
-//   batch on|off|default   same for the columnar batch join kernel
 //   stats                  engine metrics + plan-cache + delta report
 //   help                   this text
 //   quit
@@ -75,14 +72,13 @@ constexpr const char* kHelp = R"(commands:
   load <file> | show | rpq <regex> | 2rpq <regex>
   paths <from> <to> <all|shortest|simple|trail> <regex>
   kshortest <k> <from> <to> <regex>
-  crpq <rule> | dlcrpq <rule> | gql <query> | gqlopt <query>
+  crpq <rule> | dlcrpq <rule> | gql <query>
   gqlgroup <pattern> | regular <rules>
   explain <command...>   (plan + join order, no execution)
   add-node <name> <label> | add-edge <name> <src> <tgt> <label>
   del-node <name> | del-edge <name> | set-label <node> <label>
   set-prop node|edge <name> <property> <value> | compact
   timeout <ms> | memlimit <bytes> | stats | help | quit
-  wcoj on|off|default | batch on|off|default   (join kernel policy)
 )";
 
 class Shell {
@@ -174,10 +170,6 @@ class Shell {
       SetTimeout(rest);
     } else if (command == "memlimit") {
       SetMemLimit(rest);
-    } else if (command == "wcoj") {
-      SetKernelToggle("wcoj", rest, &use_wcoj_);
-    } else if (command == "batch") {
-      SetKernelToggle("batch", rest, &use_batch_kernel_);
     } else if (command == "rpq" || command == "2rpq") {
       Run(MakeRequest(QueryLanguage::kRpq, rest));
     } else if (command == "paths") {
@@ -190,10 +182,6 @@ class Shell {
       Run(MakeRequest(QueryLanguage::kDlCrpq, rest));
     } else if (command == "gql") {
       Run(MakeRequest(QueryLanguage::kCoreGql, rest));
-    } else if (command == "gqlopt") {
-      QueryRequest request = MakeRequest(QueryLanguage::kCoreGql, rest);
-      request.optimize = true;
-      Run(request);
     } else if (command == "gqlgroup") {
       Run(MakeRequest(QueryLanguage::kGqlGroup, rest));
     } else if (command == "regular") {
@@ -227,8 +215,6 @@ class Shell {
   /// error; the REPL survives both.
   void Run(QueryRequest request) {
     request.explain = explain_;
-    request.use_wcoj = use_wcoj_;
-    request.use_batch_kernel = use_batch_kernel_;
     Result<QueryResponse> r = engine_->Execute(request);
     if (!r.ok()) {
       printf("error [%s]: %s\n", ErrorCodeName(r.error().code()),
@@ -258,28 +244,6 @@ class Shell {
            static_cast<unsigned long long>(r.value().pending_ops),
            r.value().plans_invalidated > 0 ? ", plans invalidated" : "",
            r.value().compaction_scheduled ? ", compaction scheduled" : "");
-  }
-
-  /// `wcoj on|off|default` / `batch on|off|default`: a sticky per-request
-  /// override of the engine's join-kernel policy (`default` restores the
-  /// engine's own setting). Results are identical either way — the toggles
-  /// exist so the two paths can be raced and diffed interactively.
-  void SetKernelToggle(const char* name, const std::string& args,
-                       std::optional<bool>* toggle) {
-    const std::string value = Trim(args);
-    if (value == "on") {
-      *toggle = true;
-    } else if (value == "off") {
-      *toggle = false;
-    } else if (value == "default") {
-      toggle->reset();
-    } else {
-      printf("usage: %s on|off|default\n", name);
-      return;
-    }
-    printf("%s: %s\n", name,
-           toggle->has_value() ? (**toggle ? "forced on" : "forced off")
-                               : "engine default");
   }
 
   void SetTimeout(const std::string& args) {
@@ -350,10 +314,6 @@ class Shell {
 
   std::unique_ptr<QueryEngine> engine_;
   bool explain_ = false;  // armed by the `explain` prefix command
-  // Sticky join-kernel policy overrides (`wcoj` / `batch` commands);
-  // nullopt defers to the engine's Options.
-  std::optional<bool> use_wcoj_;
-  std::optional<bool> use_batch_kernel_;
 };
 
 }  // namespace

@@ -8,7 +8,6 @@
 #include <variant>
 
 #include "src/coregql/group_eval.h"
-#include "src/coregql/query.h"
 #include "src/crpq/eval.h"
 #include "src/crpq/modes.h"
 #include "src/datatest/dl_eval.h"
@@ -24,7 +23,8 @@ namespace {
 
 /// Renders a compiled plan for EXPLAIN. Only conjunctive plans (CRPQ,
 /// dl-CRPQ, CoreGQL) carry a join order; everything else compiles to a
-/// single automaton with nothing to reorder.
+/// single automaton with nothing to reorder. CoreGQL plans lead with the
+/// WHERE conjuncts compilation pushed into the patterns.
 std::string RenderExplain(const Plan& plan) {
   if (const auto* crpq = std::get_if<CrpqPlan>(&plan.compiled)) {
     return crpq->explain.ToString();
@@ -33,7 +33,11 @@ std::string RenderExplain(const Plan& plan) {
     return dl->explain.ToString();
   }
   if (const auto* gql = std::get_if<CoreGqlPlan>(&plan.compiled)) {
-    std::string out;
+    std::string out = "pushdown: " +
+                      std::to_string(gql->pushdown.labels_pushed) +
+                      " labels, " +
+                      std::to_string(gql->pushdown.selections_pushed) +
+                      " selections\n";
     for (size_t i = 0; i < gql->block_explains.size(); ++i) {
       if (gql->block_explains.size() > 1) {
         out += "block " + std::to_string(i + 1) + ":\n";
@@ -140,8 +144,6 @@ QueryEngine::QueryEngine(std::shared_ptr<const PropertyGraph> graph,
                  ? std::move(stats)
                  : std::make_shared<const SnapshotStats>(*snapshot_)),
       rpq_shards_(options.rpq_shards),
-      use_wcoj_(options.use_wcoj),
-      use_batch_kernel_(options.use_batch_kernel),
       default_timeout_(options.default_timeout),
       default_budgets_(options.default_budgets),
       cache_(options.cache_capacity_per_shard, options.cache_shards),
@@ -424,10 +426,7 @@ Result<QueryResponse> QueryEngine::ExecuteFrom(
                      std::to_string(waited.count()) + "ms)");
   }
 
-  PlanOptions plan_options;
-  plan_options.optimize = request.optimize;
-  PlanCacheKey key =
-      PlanCacheKey::For(request.language, request.text, epoch, plan_options);
+  PlanCacheKey key{request.language, request.text, epoch};
   // Recorded before the cache probe: if any invalidation (label-scoped or
   // SetGraph) lands while we compile, our plan may describe pre-mutation
   // state and must not be inserted.
@@ -441,8 +440,7 @@ Result<QueryResponse> QueryEngine::ExecuteFrom(
   } else {
     metrics_.cache_misses.Increment();
     Result<PlanPtr> compiled = CompilePlan(request.language, request.text,
-                                           *graph, epoch, plan_options,
-                                           stats.get());
+                                           *graph, epoch, {}, stats.get());
     if (!compiled.ok()) {
       metrics_.queries_error.Increment();
       if (compiled.error().code() == ErrorCode::kParse) {
@@ -717,13 +715,6 @@ Result<QueryResponse> QueryEngine::ExecutePlan(
     const QueryRequest& request, const CancellationToken* cancel) {
   QueryResponse response;
   ChunkedResultWriter out(request.sink, cancel);
-  // Execution-time policy: per-request overrides win over engine defaults.
-  const bool use_wcoj = request.use_wcoj.value_or(use_wcoj_);
-  const bool use_batch = request.use_batch_kernel.value_or(use_batch_kernel_);
-  auto count_wcoj = [&] {
-    metrics_.wcoj_by_language[static_cast<size_t>(request.language)]
-        .Increment();
-  };
 
   if (const auto* rpq = std::get_if<RpqPlan>(&plan.compiled)) {
     ParallelRpqOptions rpq_options;
@@ -744,86 +735,25 @@ Result<QueryResponse> QueryEngine::ExecutePlan(
     out << pairs.size() << " pairs\n";
     response.num_rows = pairs.size();
 
-  } else if (const auto* crpq = std::get_if<CrpqPlan>(&plan.compiled)) {
-    CrpqEvalOptions options;
-    if (request.max_results) options.max_bindings_per_pair = *request.max_results;
-    if (request.max_path_length) options.max_path_length = *request.max_path_length;
-    options.cancel = cancel;
-    options.snapshot = &snapshot;
-    options.pool = &pool_;
-    options.num_shards = rpq_shards_;
-    options.atom_nfas = &crpq->atom_nfas;
-    if (!request.textual_join_order) options.join_order = &crpq->join_order;
-    options.use_batch = use_batch;
-    if (use_wcoj && crpq->wcoj.has_value()) {
-      options.wcoj = &*crpq->wcoj;
-      count_wcoj();
+  } else if (std::holds_alternative<CrpqPlan>(plan.compiled) ||
+             std::holds_alternative<DlCrpqPlan>(plan.compiled) ||
+             std::holds_alternative<CoreGqlPlan>(plan.compiled)) {
+    const ConjunctiveRun run{.max_results = request.max_results,
+                             .max_path_length = request.max_path_length,
+                             .cancel = cancel, .snapshot = &snapshot,
+                             .pool = &pool_, .num_shards = rpq_shards_};
+    if (PlanHasWcoj(plan)) {
+      metrics_.wcoj_by_language[static_cast<size_t>(request.language)]
+          .Increment();
     }
-    Result<CrpqResult> r = EvalCrpq(g.skeleton(), crpq->query, options);
+    Result<ConjunctiveRows> r = EvalConjunctivePlan(plan, g, run);
     if (!r.ok()) return r.error();
-    out << r.value().ToString(g.skeleton());
+    out << r.value().text;
     out.EndRow();
-    out << r.value().rows.size() << " rows"
+    out << r.value().num_rows << " rows"
         << (r.value().truncated ? " (truncated)" : "") << "\n";
-    response.num_rows = r.value().rows.size();
+    response.num_rows = r.value().num_rows;
     response.truncated = r.value().truncated;
-    if (use_batch) metrics_.batch_rows.Increment(response.num_rows);
-
-  } else if (const auto* dl = std::get_if<DlCrpqPlan>(&plan.compiled)) {
-    DlCrpqEvalOptions options;
-    if (request.max_results) options.max_bindings_per_pair = *request.max_results;
-    if (request.max_path_length) options.max_path_length = *request.max_path_length;
-    options.cancel = cancel;
-    options.snapshot = &snapshot;
-    options.atom_nfas = &dl->atom_nfas;
-    if (!request.textual_join_order) options.join_order = &dl->join_order;
-    options.use_batch = use_batch;
-    if (use_wcoj && dl->wcoj.has_value()) {
-      options.wcoj = &*dl->wcoj;
-      count_wcoj();
-    }
-    Result<CrpqResult> r = EvalDlCrpq(g, dl->query, options);
-    if (!r.ok()) return r.error();
-    out << r.value().ToString(g.skeleton());
-    out.EndRow();
-    out << r.value().rows.size() << " rows"
-        << (r.value().truncated ? " (truncated)" : "") << "\n";
-    response.num_rows = r.value().rows.size();
-    response.truncated = r.value().truncated;
-    if (use_batch) metrics_.batch_rows.Increment(response.num_rows);
-
-  } else if (const auto* gql = std::get_if<CoreGqlPlan>(&plan.compiled)) {
-    CoreQueryEvalOptions options;
-    if (request.max_path_length) {
-      options.path_options.max_path_length = *request.max_path_length;
-    }
-    if (request.max_results) options.path_options.max_results = *request.max_results;
-    options.path_options.cancel = cancel;
-    options.path_options.snapshot = &snapshot;
-    if (!request.textual_join_order) options.block_orders = &gql->block_orders;
-    options.use_batch = use_batch;
-    if (use_wcoj && !gql->block_wcoj.empty()) {
-      options.block_wcoj = &gql->block_wcoj;
-      for (const auto& spec : gql->block_wcoj) {
-        if (spec.has_value()) {
-          count_wcoj();
-          break;
-        }
-      }
-    }
-    Result<CoreQueryResult> r = EvalCoreGqlQuery(g, gql->query, options);
-    if (!r.ok()) return r.error();
-    if (gql->optimized) {
-      out << "(pushdown: " << gql->pushdown.labels_pushed << " labels, "
-          << gql->pushdown.selections_pushed << " selections)\n";
-    }
-    out << r.value().relation.ToString(g.skeleton());
-    out.EndRow();
-    out << r.value().relation.NumRows() << " rows"
-        << (r.value().truncated ? " (truncated)" : "") << "\n";
-    response.num_rows = r.value().relation.NumRows();
-    response.truncated = r.value().truncated;
-    if (use_batch) metrics_.batch_rows.Increment(response.num_rows);
 
   } else if (const auto* group = std::get_if<GqlGroupPlan>(&plan.compiled)) {
     CorePathEvalOptions options;

@@ -76,28 +76,10 @@ struct QueryRequest {
   std::optional<uint64_t> row_budget;     // emitted result rows
   std::optional<uint64_t> step_budget;    // hot-loop iterations (fuel)
 
-  /// CoreGQL only: WHERE-pushdown before evaluation (the shell's `gqlopt`).
-  bool optimize = false;
-
   /// Render the plan (conjunct join order + per-atom estimates) instead of
   /// executing it. The plan is still compiled/cached exactly as it would be
   /// for execution.
   bool explain = false;
-
-  /// Ignore the planner's join order and evaluate conjuncts in textual
-  /// order (differential testing / benchmarking). Execution-time policy:
-  /// the cached plan is shared with planner-ordered requests.
-  bool textual_join_order = false;
-
-  /// Per-query overrides of the engine's `Options::use_wcoj` /
-  /// `Options::use_batch_kernel` (unset = engine default). Execution-time
-  /// policy, like `textual_join_order`: the cached plan always carries the
-  /// wcoj group when the planner found one; these only decide whether the
-  /// execution honors it / routes joins through the batch kernel. Results
-  /// are byte-identical either way — the toggles exist as differential
-  /// oracles (fuzzer legs, wcoj_test) and for benchmarking.
-  std::optional<bool> use_wcoj;
-  std::optional<bool> use_batch_kernel;
 
   /// Overrides for the per-language enumeration limits (defaults preserve
   /// each evaluator's historical limits).
@@ -158,16 +140,6 @@ class QueryEngine {
     /// Shard count for parallel RPQ evaluation over the CSR snapshot;
     /// 0 = auto (4 shards per participating thread).
     size_t rpq_shards = 0;
-    /// Honor planner-selected worst-case-optimal join groups for cyclic
-    /// conjunct cores (crpq/dlcrpq/coregql). Off = the binary join order
-    /// serves every query; the plan (and its `explain` rendering) is the
-    /// same either way.
-    bool use_wcoj = true;
-    /// Route relational joins/projections through the columnar batch
-    /// kernel (rel/batch.h) instead of the row kernel. Byte-identical
-    /// results and budget accounting; kept as a toggle so both kernels
-    /// stay live differential oracles.
-    bool use_batch_kernel = false;
     /// Delta-overlay write path: compaction thresholds and scheduling.
     MutationPolicy mutation;
     /// Durability: WAL + checkpoints under `durability.dir`. Empty dir =
@@ -342,8 +314,6 @@ class QueryEngine {
   uint64_t published_ticket_ = 0;
   bool published_merged_ = false;
   size_t rpq_shards_ = 0;
-  bool use_wcoj_ = true;
-  bool use_batch_kernel_ = false;
   std::optional<std::chrono::milliseconds> default_timeout_;
   ResourceBudgets default_budgets_;
 

@@ -80,7 +80,6 @@ std::string MetricsRegistry::ReportText() const {
   row("plan_invalidations_full", plan_invalidations_full.value());
   row("plans_evicted_dead_epoch", plans_evicted_dead_epoch.value());
   row("wcoj_plans", wcoj_plans.value());
-  row("batch_rows", batch_rows.value());
   row("queue_depth_high_water", queue_depth_high_water.value());
   row("peak_query_bytes", peak_query_bytes.value());
   row("delta_pending_ops", delta_pending_ops.value());
@@ -169,7 +168,6 @@ void MetricsRegistry::Reset() {
   for (auto& c : exhausted_by_language) c.Reset();
   for (auto& c : cancelled_by_language) c.Reset();
   wcoj_plans.Reset();
-  batch_rows.Reset();
   for (auto& c : wcoj_by_language) c.Reset();
   latency.Reset();
 }

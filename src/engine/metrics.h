@@ -118,9 +118,7 @@ class MetricsRegistry {
   Counter server_stream_bytes;     // row bytes written to sockets
   Counter tenant_quota_shed;       // queries shed by per-tenant token buckets
   Counter server_drain_shed;       // queries refused or cancelled by drain
-  // Execution-path counters for the columnar/wcoj split.
-  Counter wcoj_plans;   // compiled plans carrying a wcoj group
-  Counter batch_rows;   // result rows produced through the batch kernel
+  Counter wcoj_plans;              // compiled plans carrying a wcoj group
   std::array<Counter, kNumQueryLanguages> queries_by_language;
   std::array<Counter, kNumQueryLanguages> shed_by_language;
   std::array<Counter, kNumQueryLanguages> exhausted_by_language;

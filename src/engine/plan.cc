@@ -5,6 +5,8 @@
 
 #include "src/coregql/pattern_parser.h"
 #include "src/crpq/crpq_parser.h"
+#include "src/crpq/eval.h"
+#include "src/datatest/dl_eval.h"
 #include "src/planner/cost_model.h"
 #include "src/planner/planner.h"
 #include "src/regex/parser.h"
@@ -248,7 +250,7 @@ std::optional<rel::WcojSpec> PlanCoreGqlWcoj(const CoreMatchBlock& block,
 
 Result<PlanPtr> CompilePlan(QueryLanguage language, const std::string& text,
                             const PropertyGraph& g, uint64_t graph_epoch,
-                            const PlanOptions& options,
+                            const PlanOptions& /*options*/,
                             const SnapshotStats* stats) {
   auto plan = std::make_shared<Plan>();
   plan->language = language;
@@ -325,12 +327,7 @@ Result<PlanPtr> CompilePlan(QueryLanguage language, const std::string& text,
       Result<CoreGqlQuery> query = ParseCoreGqlQuery(text);
       if (!query.ok()) return AsParseError(query.error());
       CoreGqlPlan compiled;
-      compiled.optimized = options.optimize;
-      if (options.optimize) {
-        compiled.query = PushDownConditions(query.value(), &compiled.pushdown);
-      } else {
-        compiled.query = std::move(query).value();
-      }
+      compiled.query = PushDownConditions(query.value(), &compiled.pushdown);
       for (const CoreMatchBlock& block : compiled.query.blocks) {
         std::vector<Conjunct> conjuncts;
         for (const CoreMatchBlock::PatternEntry& entry : block.patterns) {
@@ -428,6 +425,53 @@ Result<PlanPtr> CompilePlan(QueryLanguage language, const std::string& text,
   SortUnique(&plan->deps.labels);
   SortUnique(&plan->deps.properties);
   return PlanPtr(std::move(plan));
+}
+
+Result<ConjunctiveRows> EvalConjunctivePlan(const Plan& plan,
+                                            const PropertyGraph& g,
+                                            const ConjunctiveRun& run) {
+  Result<CrpqResult> r = Error(ErrorCode::kInvalidArgument,
+                               "not a conjunctive plan");
+  if (const auto* crpq = std::get_if<CrpqPlan>(&plan.compiled)) {
+    CrpqEvalOptions options;
+    if (run.max_results) options.max_bindings_per_pair = *run.max_results;
+    if (run.max_path_length) options.max_path_length = *run.max_path_length;
+    options.cancel = run.cancel;
+    options.snapshot = run.snapshot;
+    options.pool = run.pool;
+    options.num_shards = run.num_shards;
+    options.atom_nfas = &crpq->atom_nfas;
+    options.join_order = &crpq->join_order;
+    if (crpq->wcoj.has_value()) options.wcoj = &*crpq->wcoj;
+    r = EvalCrpq(g.skeleton(), crpq->query, options);
+  } else if (const auto* dl = std::get_if<DlCrpqPlan>(&plan.compiled)) {
+    DlCrpqEvalOptions options;
+    if (run.max_results) options.max_bindings_per_pair = *run.max_results;
+    if (run.max_path_length) options.max_path_length = *run.max_path_length;
+    options.cancel = run.cancel;
+    options.snapshot = run.snapshot;
+    options.atom_nfas = &dl->atom_nfas;
+    options.join_order = &dl->join_order;
+    if (dl->wcoj.has_value()) options.wcoj = &*dl->wcoj;
+    r = EvalDlCrpq(g, dl->query, options);
+  } else if (const auto* gql = std::get_if<CoreGqlPlan>(&plan.compiled)) {
+    CoreQueryEvalOptions options;
+    if (run.max_path_length) {
+      options.path_options.max_path_length = *run.max_path_length;
+    }
+    if (run.max_results) options.path_options.max_results = *run.max_results;
+    options.path_options.cancel = run.cancel;
+    options.path_options.snapshot = run.snapshot;
+    options.block_orders = &gql->block_orders;
+    options.block_wcoj = &gql->block_wcoj;
+    Result<CoreQueryResult> q = EvalCoreGqlQuery(g, gql->query, options);
+    if (!q.ok()) return q.error();
+    return ConjunctiveRows{q.value().relation.ToString(g.skeleton()),
+                           q.value().relation.NumRows(), q.value().truncated};
+  }
+  if (!r.ok()) return r.error();
+  return ConjunctiveRows{r.value().ToString(g.skeleton()),
+                         r.value().rows.size(), r.value().truncated};
 }
 
 }  // namespace gqzoo

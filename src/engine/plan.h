@@ -17,7 +17,9 @@
 #include "src/planner/stats.h"
 #include "src/regex/ast.h"
 #include "src/rel/wcoj.h"
+#include "src/util/query_context.h"
 #include "src/util/result.h"
+#include "src/util/thread_pool.h"
 
 namespace gqzoo {
 
@@ -43,8 +45,7 @@ struct CrpqPlan {
   /// Set when the planner detected a cyclic core of single-label atoms:
   /// the worst-case-optimal join group, with label ids resolved at
   /// compile time (like the NFAs, covered by the same deps). Execution
-  /// honors it only when the engine/request wcoj toggle is on and a
-  /// snapshot is available.
+  /// always honors it.
   std::optional<rel::WcojSpec> wcoj;
 };
 
@@ -57,9 +58,8 @@ struct DlCrpqPlan {
 };
 
 struct CoreGqlPlan {
-  CoreGqlQuery query;  // WHERE pushdown already applied when requested
-  bool optimized = false;
-  PushdownStats pushdown;
+  CoreGqlQuery query;  // WHERE pushdown (Section 7.1) already applied
+  PushdownStats pushdown;  // what the pushdown moved, shown by EXPLAIN
   /// Per-block pattern-entry execution orders + EXPLAIN records, parallel
   /// to `query.blocks`.
   std::vector<std::vector<size_t>> block_orders;
@@ -119,13 +119,10 @@ struct Plan {
 
 using PlanPtr = std::shared_ptr<const Plan>;
 
-/// Options that change the compiled artifact (and therefore participate in
-/// the cache key as structural fields, see PlanCacheKey::For).
-struct PlanOptions {
-  /// CoreGQL only: apply WHERE-pushdown (the shell's `gqlopt`) at compile
-  /// time, so cached plans skip the rewrite too.
-  bool optimize = false;
-};
+/// Options that change the compiled artifact. Empty: every request
+/// compiles one way. The parameter stays for the benchmark's plan replays
+/// (bench/e2e/layers.cc), which pass `{}`.
+struct PlanOptions {};
 
 /// Parses `text` in `language` and compiles automata against `g`.
 /// Parse and validation failures come back as ErrorCode::kParse.
@@ -134,13 +131,41 @@ struct PlanOptions {
 /// planner for CRPQ / dl-CRPQ / CoreGQL plans: atom result sizes are
 /// estimated from the per-label statistics and conjuncts are ordered
 /// smallest-first, connected-preferred. Without stats, conjuncts keep
-/// their textual order. `stats` is deliberately *not* a PlanOptions field:
-/// it does not change plan identity (the cache key already carries the
-/// graph epoch, which determines the statistics).
+/// their textual order. `stats` does not change plan identity: the cache
+/// key already carries the graph epoch, which determines the statistics.
+/// CoreGQL queries are compiled with their WHERE pushdown applied.
 Result<PlanPtr> CompilePlan(QueryLanguage language, const std::string& text,
                             const PropertyGraph& g, uint64_t graph_epoch,
                             const PlanOptions& options = {},
                             const SnapshotStats* stats = nullptr);
+
+/// The per-execution settings of a conjunctive plan: the request's limits
+/// and context, and the snapshot (plus optional pool) to evaluate over.
+struct ConjunctiveRun {
+  std::optional<size_t> max_results;
+  std::optional<size_t> max_path_length;
+  const QueryContext* cancel = nullptr;
+  const GraphSnapshot* snapshot = nullptr;
+  ThreadPool* pool = nullptr;  // CRPQ atom seeding
+  size_t num_shards = 0;
+};
+
+/// A conjunctive plan's result rows, rendered as `QueryEngine::Execute`
+/// renders them (without the trailing "N rows" line).
+struct ConjunctiveRows {
+  std::string text;
+  size_t num_rows = 0;
+  bool truncated = false;
+};
+
+/// Evaluates a CRPQ, dl-CRPQ or CoreGQL plan exactly as compiled: its
+/// automata, join order, wcoj group and (CoreGQL) pushed-down query. The
+/// engine's one execution path; the differential plan legs
+/// (src/fuzz/plan_legs.h) run copies of a plan with one of those parts
+/// reverted. kInvalidArgument for any other plan.
+Result<ConjunctiveRows> EvalConjunctivePlan(const Plan& plan,
+                                            const PropertyGraph& g,
+                                            const ConjunctiveRun& run);
 
 }  // namespace gqzoo
 

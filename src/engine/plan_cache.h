@@ -12,39 +12,23 @@
 
 namespace gqzoo {
 
-/// Cache key: (language, query text, plan options, graph epoch). A graph
-/// mutation bumps the engine's epoch, so plans compiled against an older
-/// graph can never be returned again — stale entries simply age out of the
-/// LRU lists.
-///
-/// Options are keyed *structurally* — as their own fields — rather than
-/// serialized into the text. An earlier scheme appended a "\x01opt" marker
-/// to the text for optimized compiles, which collided: the unoptimized
-/// query whose literal text is `X + "\x01opt"` shared a cache entry with
-/// the optimized compile of `X`. Structural fields cannot collide with any
-/// query text.
+/// Cache key: (language, query text, graph epoch). A graph mutation bumps
+/// the engine's epoch, so plans compiled against an older graph can never
+/// be returned again — stale entries simply age out of the LRU lists.
 struct PlanCacheKey {
   QueryLanguage language;
   std::string text;  // query text, verbatim
   uint64_t graph_epoch;
-  bool optimize = false;  // PlanOptions::optimize
-
-  static PlanCacheKey For(QueryLanguage language, std::string text,
-                          uint64_t graph_epoch, const PlanOptions& options) {
-    return PlanCacheKey{language, std::move(text), graph_epoch,
-                        options.optimize};
-  }
 
   bool operator==(const PlanCacheKey& o) const {
     return language == o.language && graph_epoch == o.graph_epoch &&
-           optimize == o.optimize && text == o.text;
+           text == o.text;
   }
 
   size_t Hash() const {
     size_t h = std::hash<std::string>()(text);
     h = HashCombine(h, static_cast<size_t>(language));
-    h = HashCombine(h, static_cast<size_t>(graph_epoch));
-    return HashCombine(h, static_cast<size_t>(optimize));
+    return HashCombine(h, static_cast<size_t>(graph_epoch));
   }
 };
 

@@ -38,9 +38,9 @@ std::string FuzzStats::ToString() const {
     out << " " << QueryLanguageName(static_cast<QueryLanguage>(i)) << "="
         << by_language[i];
   }
-  if (!reference_checks.empty()) {
-    out << "; reference checks:";
-    for (const auto& [leg, n] : reference_checks) out << " " << leg << "=" << n;
+  if (!leg_checks.empty()) {
+    out << "; leg checks:";
+    for (const auto& [leg, n] : leg_checks) out << " " << leg << "=" << n;
   }
   return out.str();
 }
@@ -121,8 +121,8 @@ FuzzRunResult RunFuzzer(const FuzzerOptions& options, std::ostream* log) {
       RunMetamorphic(c, &meta_rng, options.oracle, &report);
     }
     result.stats.checks += report.checks;
-    for (const auto& [leg, n] : report.reference_checks) {
-      result.stats.reference_checks[leg] += n;
+    for (const auto& [leg, n] : report.leg_checks) {
+      result.stats.leg_checks[leg] += n;
     }
 
     if (!report.ok()) {

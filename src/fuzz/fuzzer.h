@@ -63,8 +63,8 @@ struct FuzzStats {
   size_t cases_run = 0;
   size_t queries_parsed = 0;  // generator validity rate numerator
   size_t checks = 0;          // oracle leg comparisons executed
-  /// Comparisons per definitional-reference leg ("rpq.reference", ...).
-  std::map<std::string, size_t> reference_checks;
+  /// Comparisons per counted leg ("rpq.reference", "plan.textual", ...).
+  std::map<std::string, size_t> leg_checks;
   size_t divergent_cases = 0;
   std::vector<size_t> by_language;  // indexed by QueryLanguage
 

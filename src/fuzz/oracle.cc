@@ -13,6 +13,7 @@
 #include "src/crpq/eval.h"
 #include "src/crpq/modes.h"
 #include "src/datatest/dl_eval.h"
+#include "src/fuzz/plan_legs.h"
 #include "src/fuzz/reference.h"
 #include "src/graph/csr.h"
 #include "src/graph/graph_io.h"
@@ -126,10 +127,10 @@ class OracleRun {
   void CheckReference(const std::string& check, const std::optional<T>& ref,
                       Agree agree, Describe describe) {
     if (!ref.has_value()) {
-      ++report_->reference_checks[check + ".inconclusive"];
+      ++report_->leg_checks[check + ".inconclusive"];
       return;
     }
-    ++report_->reference_checks[check];
+    ++report_->leg_checks[check];
     const bool ok = agree(*ref);
     Check(ok, check, ok ? std::string() : describe(*ref));
   }
@@ -584,203 +585,153 @@ class OracleRun {
 
     // Cold vs cached plan: byte-identical response off the warm cache.
     Result<QueryResponse> warm = engine.Execute(request);
-    if (cold.ok() != warm.ok()) {
-      Check(false, "engine.cold-vs-cached",
-            cold.ok() ? "cold ok but cached failed: " + warm.error().message()
-                      : "cold failed but cached ok");
-    } else if (!cold.ok()) {
-      Check(cold.error().code() == warm.error().code(),
-            "engine.cold-vs-cached",
-            std::string("error codes differ: ") +
-                ErrorCodeName(cold.error().code()) + " vs " +
-                ErrorCodeName(warm.error().code()));
-    } else {
+    CompareResponses("engine.cold-vs-cached", cold, warm, /*exact=*/true);
+    if (warm.ok()) {
       Check(warm.value().cache_hit, "engine.cold-vs-cached",
             "second execution missed the plan cache");
-      Check(cold.value().text == warm.value().text &&
-                cold.value().num_rows == warm.value().num_rows &&
-                cold.value().truncated == warm.value().truncated,
-            "engine.cold-vs-cached",
-            "cold:\n" + cold.value().text + "cached:\n" + warm.value().text);
     }
 
-    // Planner order vs textual order.
-    QueryRequest textual_request = request;
-    textual_request.textual_join_order = true;
-    Result<QueryResponse> textual = engine.Execute(textual_request);
-    if (cold.ok() != textual.ok()) {
-      Check(false, "engine.planner-vs-textual",
-            cold.ok()
-                ? "planned ok but textual failed: " + textual.error().message()
-                : "planned failed but textual ok");
-    } else if (!cold.ok()) {
-      Check(cold.error().code() == textual.error().code(),
-            "engine.planner-vs-textual",
-            std::string("error codes differ: ") +
-                ErrorCodeName(cold.error().code()) + " vs " +
-                ErrorCodeName(textual.error().code()));
-    } else if (!cold.value().truncated && !textual.value().truncated) {
-      // Under set semantics without truncation the join order is
-      // invisible in the result.
-      Check(cold.value().text == textual.value().text,
-            "engine.planner-vs-textual",
-            "planned:\n" + cold.value().text + "textual:\n" +
-                textual.value().text);
-    }
-
-    // Execution-time kernel policy: every case runs with the wcoj path
-    // forced on and forced off, and with the columnar batch kernel forced
-    // on — the choice of join kernel must be invisible in the rendered
-    // result. On cyclic-core cases (query_gen cyclic_percent) the wcoj
-    // legs genuinely diverge in execution strategy; elsewhere the planner
-    // selects no group and the legs double as no-op coverage.
+    // The plan legs: the engine's plan evaluated below it with one
+    // planning decision reverted at a time. A query that does not compile
+    // failed the engine too (engine.status-vs-library).
+    PlanPtr plan;
     if (c_.language == QueryLanguage::kCrpq ||
         c_.language == QueryLanguage::kDlCrpq ||
         c_.language == QueryLanguage::kCoreGql) {
-      struct KernelLeg {
-        const char* check;
-        bool wcoj;
-        bool batch;
-      };
-      const KernelLeg kLegs[] = {
-          {"engine.wcoj-vs-binary", false, false},
-          {"engine.batch-vs-row", true, true},
-          {"engine.wcoj-off-batch-on", false, true},
-      };
-      QueryRequest base_request = request;
-      base_request.use_wcoj = true;
-      base_request.use_batch_kernel = false;
-      Result<QueryResponse> base_run = engine.Execute(base_request);
-      for (const KernelLeg& leg : kLegs) {
-        QueryRequest toggled = request;
-        toggled.use_wcoj = leg.wcoj;
-        toggled.use_batch_kernel = leg.batch;
-        Result<QueryResponse> run = engine.Execute(toggled);
-        if (base_run.ok() != run.ok()) {
-          Check(false, leg.check,
-                base_run.ok()
-                    ? "wcoj-on/batch-off ok but toggled leg failed: " +
-                          run.error().message()
-                    : "wcoj-on/batch-off failed but toggled leg ok: " +
-                          base_run.error().message());
-        } else if (!base_run.ok()) {
-          Check(base_run.error().code() == run.error().code(), leg.check,
-                std::string("error codes differ: ") +
-                    ErrorCodeName(base_run.error().code()) + " vs " +
-                    ErrorCodeName(run.error().code()));
-        } else if (!base_run.value().truncated && !run.value().truncated) {
-          Check(base_run.value().text == run.value().text, leg.check,
-                "base:\n" + base_run.value().text + "toggled:\n" +
-                    run.value().text);
-        }
-      }
+      const SnapshotStats stats(snap_);
+      Result<PlanPtr> compiled =
+          CompilePlan(c_.language, request.text, g_, 0, {}, &stats);
+      if (compiled.ok()) plan = std::move(compiled).value();
     }
-
-    // WHERE-pushdown on/off (CoreGQL only; the response prefixes a
-    // "(pushdown: ...)" header line that the comparison strips).
-    if (c_.language == QueryLanguage::kCoreGql && cold.ok()) {
-      QueryRequest optimized_request = request;
-      optimized_request.optimize = true;
-      Result<QueryResponse> optimized = engine.Execute(optimized_request);
-      if (!optimized.ok()) {
-        Check(false, "engine.pushdown",
-              "pushdown leg failed: " + optimized.error().message());
-      } else if (!cold.value().truncated && !optimized.value().truncated) {
-        std::string text = optimized.value().text;
-        if (text.rfind("(pushdown:", 0) == 0) {
-          size_t eol = text.find('\n');
-          text = eol == std::string::npos ? "" : text.substr(eol + 1);
-        }
-        Check(cold.value().text == text &&
-                  cold.value().num_rows == optimized.value().num_rows,
-              "engine.pushdown",
-              "plain:\n" + cold.value().text + "pushdown:\n" + text);
-      }
-    }
+    if (plan != nullptr) CheckPlanLegs(*plan, cold);
 
     if (options_.error_parity) {
-      CheckGovernedLegs(request, cold);
-      CheckFailpointLegs(request, cold);
+      CheckGovernedLegs(request, cold, plan.get());
+      CheckFailpointLegs(request, cold, plan.get());
     }
   }
 
-  /// Budget injection: in every join order the governed run must either
-  /// reproduce the ungoverned outcome or trip as RESOURCE_EXHAUSTED —
-  /// never a different answer, never a different error class.
-  void CheckGovernedLegs(const QueryRequest& request,
-                         const Result<QueryResponse>& cold) {
-    if (c_.step_budget == 0 && c_.memory_budget == 0) return;
-    for (bool textual : {false, true}) {
-      QueryRequest governed = request;
-      governed.textual_join_order = textual;
-      if (c_.step_budget != 0) governed.step_budget = c_.step_budget;
-      if (c_.memory_budget != 0) governed.memory_budget = c_.memory_budget;
-      Result<QueryResponse> run = options_.engine->Execute(governed);
-      const char* check =
-          textual ? "engine.budget-parity.textual" : "engine.budget-parity";
-      if (run.ok()) {
-        Check(cold.ok(), check,
-              cold.ok() ? std::string()
-                        : "governed run succeeded but ungoverned failed: " +
-                              cold.error().message());
-        if (cold.ok() && !cold.value().truncated && !run.value().truncated) {
-          Check(cold.value().text == run.value().text, check,
-                "budget did not trip but results differ:\nungoverned:\n" +
-                    cold.value().text + "governed:\n" + run.value().text);
-        }
-      } else {
-        const ErrorCode code = run.error().code();
-        const bool allowed =
-            code == ErrorCode::kResourceExhausted ||
-            (!cold.ok() && code == cold.error().code());
-        Check(allowed, check,
-              std::string("governed run failed with ") + ErrorCodeName(code) +
-                  " (ungoverned: " +
-                  (cold.ok() ? "OK"
-                             : ErrorCodeName(cold.error().code())) +
-                  "): " + run.error().message());
+  /// Same status (and code), and the same rendered rows — unless an
+  /// enumeration limit cut either run short and `exact` is false.
+  void CompareResponses(const std::string& check,
+                        const Result<QueryResponse>& a,
+                        const Result<QueryResponse>& b, bool exact = false) {
+    if (a.ok() != b.ok()) {
+      Check(false, check,
+            a.ok() ? "first ok but second failed: " + b.error().message()
+                   : "first failed but second ok: " + a.error().message());
+    } else if (!a.ok()) {
+      Check(a.error().code() == b.error().code(), check,
+            std::string("error codes differ: ") +
+                ErrorCodeName(a.error().code()) + " vs " +
+                ErrorCodeName(b.error().code()));
+    } else if (exact || (!a.value().truncated && !b.value().truncated)) {
+      Check(a.value().text == b.value().text &&
+                a.value().num_rows == b.value().num_rows &&
+                a.value().truncated == b.value().truncated,
+            check, "first:\n" + a.value().text + "second:\n" +
+                       b.value().text);
+    }
+  }
+
+  /// Runs `leg` of `plan` with the engine matrix's limits.
+  Result<QueryResponse> RunLeg(const Plan& plan, PlanLeg leg,
+                               const QueryContext* ctx = nullptr) const {
+    const ConjunctiveRun run{.max_results = options_.max_results,
+                             .max_path_length = options_.max_path_length,
+                             .cancel = ctx, .snapshot = &snap_};
+    return RunPlan(PlanForLeg(plan, leg), g_, run);
+  }
+
+  /// The planned leg must be what Execute ran, and under set semantics
+  /// every other leg renders the same rows. On cyclic-core cases
+  /// (query_gen cyclic_percent) the no-wcoj leg genuinely changes the
+  /// join; elsewhere it repeats the planned run.
+  void CheckPlanLegs(const Plan& plan, const Result<QueryResponse>& cold) {
+    const Result<QueryResponse> planned = RunLeg(plan, PlanLeg::kPlanned);
+    CompareResponses("plan.planned-vs-engine", cold, planned);
+    for (PlanLeg leg : {PlanLeg::kTextual, PlanLeg::kNoWcoj,
+                        PlanLeg::kNoPushdown}) {
+      if (leg == PlanLeg::kNoPushdown &&
+          c_.language != QueryLanguage::kCoreGql) {
+        continue;
       }
+      ++report_->leg_checks[PlanLegName(leg)];
+      CompareResponses(PlanLegName(leg), planned, RunLeg(plan, leg));
     }
   }
 
-  /// Armed fail-points: each site maps to a documented code, and every
-  /// join order must surface exactly that code (or complete cleanly if the
-  /// site is never reached) — no wrong answers, no other classes.
+  /// An injected run (a budget, an armed fail-point) must reproduce the
+  /// clean outcome or fail with `expected` (or the clean run's own error)
+  /// — never a different answer, never a different error class.
+  void CheckInjectedRun(const char* check, const std::string& injected,
+                        ErrorCode expected, const Result<QueryResponse>& cold,
+                        const Result<QueryResponse>& run) {
+    if (run.ok()) {
+      Check(cold.ok(), check,
+            cold.ok() ? std::string()
+                      : injected + ": run succeeded but clean run failed: " +
+                            cold.error().message());
+      if (cold.ok() && !cold.value().truncated && !run.value().truncated) {
+        Check(cold.value().text == run.value().text, check,
+              injected + " did not fire but results differ:\nclean:\n" +
+                  cold.value().text + "injected:\n" + run.value().text);
+      }
+    } else {
+      const ErrorCode code = run.error().code();
+      Check(code == expected || (!cold.ok() && code == cold.error().code()),
+            check,
+            injected + " surfaced as " + ErrorCodeName(code) + " (expected " +
+                ErrorCodeName(expected) + ", clean run " +
+                (cold.ok() ? "OK" : ErrorCodeName(cold.error().code())) +
+                "): " + run.error().message());
+    }
+  }
+
+  /// Budget injection in both join orders: the engine runs the planned
+  /// order, `plan` (null for languages without conjuncts) the textual one.
+  void CheckGovernedLegs(const QueryRequest& request,
+                         const Result<QueryResponse>& cold, const Plan* plan) {
+    if (c_.step_budget == 0 && c_.memory_budget == 0) return;
+    QueryRequest governed = request;
+    if (c_.step_budget != 0) governed.step_budget = c_.step_budget;
+    if (c_.memory_budget != 0) governed.memory_budget = c_.memory_budget;
+    CheckInjectedRun("engine.budget-parity", "budget",
+                     ErrorCode::kResourceExhausted, cold,
+                     options_.engine->Execute(governed));
+    if (plan != nullptr) {
+      QueryContext ctx;
+      ctx.set_budgets(CaseBudgets(c_));
+      CheckInjectedRun("plan.budget-parity.textual", "budget",
+                       ErrorCode::kResourceExhausted, cold,
+                       RunLeg(*plan, PlanLeg::kTextual, &ctx));
+    }
+  }
+
+  /// Armed fail-points: each site maps to a documented code, and both join
+  /// orders must surface exactly that code (or complete cleanly if the
+  /// site is never reached).
   void CheckFailpointLegs(const QueryRequest& request,
-                          const Result<QueryResponse>& cold) {
+                          const Result<QueryResponse>& cold,
+                          const Plan* plan) {
     auto run_site = [&](const char* site, ErrorCode expected_code) {
-      for (bool textual : {false, true}) {
+      // A budget forces a governed context, which is what fail-points
+      // trip; large enough to never fire on its own.
+      ResourceBudgets budgets;
+      budgets.memory_bytes = uint64_t{1} << 40;
+      {
         ScopedFailpoint fp(site);
         QueryRequest injected = request;
-        injected.textual_join_order = textual;
-        // A budget forces a governed context, which is what fail-points
-        // trip; large enough to never fire on its own.
-        injected.memory_budget = uint64_t{1} << 40;
-        Result<QueryResponse> run = options_.engine->Execute(injected);
-        const char* check = textual ? "engine.failpoint-parity.textual"
-                                    : "engine.failpoint-parity";
-        if (run.ok()) {
-          // Site not on this query's path (e.g. empty seed set, or a
-          // planner that selected no wcoj group): must then match the
-          // clean run.
-          Check(cold.ok(), check,
-                cold.ok() ? std::string()
-                          : "injected run succeeded but clean run failed: " +
-                                cold.error().message());
-          if (cold.ok() && !cold.value().truncated &&
-              !run.value().truncated) {
-            Check(cold.value().text == run.value().text, check,
-                  "fail-point skipped but results differ");
-          }
-        } else {
-          const ErrorCode code = run.error().code();
-          const bool allowed = code == expected_code ||
-                               (!cold.ok() && code == cold.error().code());
-          Check(allowed, check,
-                std::string(site) + " surfaced as " + ErrorCodeName(code) +
-                    " (expected " + ErrorCodeName(expected_code) + "): " +
-                    run.error().message());
-        }
+        injected.memory_budget = budgets.memory_bytes;
+        CheckInjectedRun("engine.failpoint-parity", site, expected_code, cold,
+                         options_.engine->Execute(injected));
+      }
+      if (plan != nullptr) {
+        ScopedFailpoint fp(site);
+        QueryContext ctx;
+        ctx.set_budgets(budgets);
+        CheckInjectedRun("plan.failpoint-parity.textual", site, expected_code,
+                         cold, RunLeg(*plan, PlanLeg::kTextual, &ctx));
       }
     };
 

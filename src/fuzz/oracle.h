@@ -28,9 +28,8 @@ struct OracleOptions {
   ThreadPool* pool = nullptr;
   size_t rpq_shards = 3;
 
-  /// Shared engine for the engine-level legs (cold-vs-cached plan,
-  /// planner-vs-textual join order, WHERE-pushdown, budget and fail-point
-  /// parity). The oracle calls `SetGraph` on it per case. Null skips the
+  /// Shared engine for the engine-level legs (cold-vs-cached plan, the
+  /// plan legs of src/fuzz/plan_legs.h, budget and fail-point parity). The oracle calls `SetGraph` on it per case. Null skips the
   /// engine matrix (library-only mode, used by some unit tests).
   QueryEngine* engine = nullptr;
   bool engine_checks = true;
@@ -58,9 +57,10 @@ struct OracleReport {
   std::vector<Divergence> divergences;
   /// Individual leg comparisons performed (for throughput reporting).
   size_t checks = 0;
-  /// Comparisons per definitional-reference leg; a case whose reference
-  /// ran out of its work budget counts under "<leg>.inconclusive".
-  std::map<std::string, size_t> reference_checks;
+  /// Comparisons per definitional-reference leg and per plan leg
+  /// (src/fuzz/plan_legs.h); a case whose reference ran out of its work
+  /// budget counts under "<leg>.inconclusive".
+  std::map<std::string, size_t> leg_checks;
   /// The case's query text parsed at the library level. Cases that fail to
   /// parse still exercise the parse-error-parity legs, but a fuzzer wants
   /// to know its generator's hit rate.
@@ -81,12 +81,14 @@ struct OracleReport {
 ///                   governed-rerun determinism (same budget => same
 ///                   rows, same cause);
 ///   engine level    library status vs engine status (same ErrorCode),
-///                   cold vs cached plan (byte-identical), planner vs
-///                   textual join order, WHERE-pushdown on/off,
-///                   budget injection (ungoverned status or
-///                   RESOURCE_EXHAUSTED, nothing else), armed fail-points
-///                   (expected code or clean completion, in every
-///                   join order).
+///                   cold vs cached plan (byte-identical), budget
+///                   injection (ungoverned status or RESOURCE_EXHAUSTED,
+///                   nothing else), armed fail-points (expected code or
+///                   clean completion);
+///   plan level      the engine's plan evaluated below it: planned leg vs
+///                   Execute, and planned vs textual join order, vs no
+///                   wcoj group, vs no WHERE pushdown; budget injection
+///                   and fail-points in textual order.
 ///
 /// Never asserts or throws: all disagreement is data in the report, so the
 /// fuzzer can minimize and persist it.

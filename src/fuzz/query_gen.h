@@ -27,8 +27,8 @@ struct QueryGenOptions {
   /// Percent of CRPQ / dl-CRPQ / CoreGQL cases generated as a cyclic core
   /// (triangle or 4-clique of single-label forward atoms over distinct
   /// variables) — exactly the shape the planner hands to the worst-case-
-  /// optimal join, so the engine's wcoj-vs-binary leg runs through the
-  /// wcoj path instead of trivially matching on acyclic queries.
+  /// optimal join, so the oracle's plan.no-wcoj leg compares the wcoj
+  /// path with binary joins instead of trivially matching on acyclic queries.
   uint64_t cyclic_percent = 20;
 };
 

@@ -1,6 +1,7 @@
 #ifndef GQZOO_REGEX_AST_H_
 #define GQZOO_REGEX_AST_H_
 
+#include <algorithm>
 #include <memory>
 #include <optional>
 #include <string>
@@ -159,18 +160,27 @@ class Regex {
   /// Number of atom occurrences (Glushkov positions).
   size_t NumPositions() const;
 
+  /// Height of the syntax tree: 1 for an atom or ε. Every recursive pass
+  /// over the expression, destruction included, nests this deep.
+  size_t depth() const { return depth_; }
+
   std::string ToString() const;
 
  protected:
   // Construction goes through the static factories; subclassing is used
   // only by the factory implementation to reach this constructor.
   Regex(Op op, Atom atom, std::vector<RegexPtr> children)
-      : op_(op), atom_(std::move(atom)), children_(std::move(children)) {}
+      : op_(op), atom_(std::move(atom)), children_(std::move(children)) {
+    for (const RegexPtr& c : children_) {
+      depth_ = std::max(depth_, c->depth_ + 1);
+    }
+  }
 
  private:
   Op op_;
   Atom atom_;                      // valid iff op_ == kAtom
   std::vector<RegexPtr> children_;
+  size_t depth_ = 1;
 };
 
 }  // namespace gqzoo

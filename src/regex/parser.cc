@@ -31,7 +31,15 @@ class Parser {
   Parser(const std::vector<Token>& tokens, size_t pos, RegexDialect dialect)
       : tokens_(tokens), pos_(pos), dialect_(dialect) {}
 
+  // Each group nests one level of this recursion, deepening the tree or
+  // not, and each operator below checks the depth of the tree it built.
   Result<RegexPtr> ParseUnion() {
+    if (nesting_ == kMaxRegexDepth) return TooDeep();
+    ++nesting_;
+    struct Unnest {
+      size_t& n;
+      ~Unnest() { --n; }
+    } unnest{nesting_};
     Result<RegexPtr> lhs = ParseConcat();
     if (!lhs.ok()) return lhs;
     RegexPtr result = std::move(lhs).value();
@@ -40,6 +48,7 @@ class Parser {
       Result<RegexPtr> rhs = ParseConcat();
       if (!rhs.ok()) return rhs;
       result = Regex::Union(std::move(result), std::move(rhs).value());
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -58,6 +67,11 @@ class Parser {
                  " ('" + Cur().text + "'): " + message);
   }
 
+  Error TooDeep() {
+    return Err("regex nests deeper than " + std::to_string(kMaxRegexDepth) +
+               " levels");
+  }
+
   Result<RegexPtr> ParseConcat() {
     Result<RegexPtr> first = ParseFactor();
     if (!first.ok()) return first;
@@ -66,6 +80,7 @@ class Parser {
       Result<RegexPtr> next = ParseFactor();
       if (!next.ok()) return next;
       result = Regex::Concat(std::move(result), std::move(next).value());
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -102,6 +117,7 @@ class Parser {
       } else {
         break;
       }
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -125,6 +141,13 @@ class Parser {
     if (!Cur().IsPunct("}")) return Err("expected '}'");
     ++pos_;
     if (hi != Regex::kUnbounded && hi < lo) return Err("bad repetition bounds");
+    // The desugared chain has `links` concatenations above its first copy
+    // of `inner`: refuse one surely too deep before building it (testing
+    // `links` alone first, so the sum cannot wrap).
+    const size_t links = hi == Regex::kUnbounded ? lo : hi - (hi > 0);
+    if (links >= kMaxRegexDepth || links + inner->depth() > kMaxRegexDepth) {
+      return TooDeep();
+    }
     return Regex::Repeat(std::move(inner), lo, hi);
   }
 
@@ -138,7 +161,8 @@ class Parser {
     const Token& t = Cur();
     if (t.IsPunct("~")) {
       // Two-way navigation (Remark 9): ~a traverses an a-edge backwards.
-      ++pos_;
+      // A run of '~' is read in a loop, not by recursion; `~~a` is `~a`.
+      while (Cur().IsPunct("~")) ++pos_;
       Result<RegexPtr> base = ParsePlainBase();
       if (!base.ok()) return base;
       const Regex& r = *base.value();
@@ -361,6 +385,7 @@ class Parser {
   const std::vector<Token>& tokens_;
   size_t pos_;
   RegexDialect dialect_;
+  size_t nesting_ = 0;  // ParseUnion calls on the stack
 };
 
 bool CheckAtoms(const Regex& r, bool allow_captures, bool allow_tests,

@@ -23,7 +23,16 @@ enum class RegexDialect {
   kDl,
 };
 
-/// Parses a complete regex; fails if trailing tokens remain.
+/// The deepest regex the parsers accept, counted both as syntax-tree
+/// height (`Regex::depth`, after `{n,m}` is desugared) and as nesting of
+/// parenthesized groups. The Glushkov construction, `Nullable`,
+/// `ToString` and destruction all recurse once per tree level, and a
+/// request carries its regex, so this bounds their stack use. A regex at
+/// exactly this depth passes all four under ASan (DESIGN.md).
+inline constexpr size_t kMaxRegexDepth = 256;
+
+/// Parses a complete regex; fails if trailing tokens remain or the regex
+/// is deeper than `kMaxRegexDepth`.
 Result<RegexPtr> ParseRegex(const std::string& text, RegexDialect dialect);
 
 /// Parses a regex from `tokens` starting at `*pos`, advancing `*pos` past

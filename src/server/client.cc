@@ -92,11 +92,7 @@ Result<bool> Client::StartQuery(const std::string& text,
   AppendString(&payload, text);
   AppendU32(&payload, options.timeout_ms);
   AppendU32(&payload, options.max_display_rows);
-  uint8_t flags = 0;
-  if (options.explain) flags |= 0x01;
-  if (options.optimize) flags |= 0x02;
-  if (options.textual_join_order) flags |= 0x04;
-  AppendU8(&payload, flags);
+  AppendU8(&payload, options.explain ? kQueryFlagExplain : 0);
   AppendString(&payload, options.paths_from);
   AppendString(&payload, options.paths_to);
   AppendU8(&payload, options.paths_mode);

@@ -19,8 +19,6 @@ struct ClientQueryOptions {
   uint32_t timeout_ms = 0;
   uint32_t max_display_rows = 0;
   bool explain = false;
-  bool optimize = false;
-  bool textual_join_order = false;
   // kPaths only:
   std::string paths_from;
   std::string paths_to;

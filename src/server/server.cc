@@ -231,6 +231,16 @@ bool GraphServer::DecodeQuery(Session* session, const std::string& payload,
     *error = "malformed QUERY payload";
     return false;
   }
+  if ((flags & ~kQueryFlagExplain) != 0) {
+    *error = "malformed QUERY payload: unknown flags " +
+             std::to_string(flags);
+    return false;
+  }
+  if (paths_mode > 3) {
+    *error = "malformed QUERY payload: paths_mode " +
+             std::to_string(paths_mode) + " is not 0-3";
+    return false;
+  }
   QueryRequest request;
   if (language.empty()) {
     request.language = session->default_language;
@@ -248,9 +258,7 @@ bool GraphServer::DecodeQuery(Session* session, const std::string& payload,
     request.timeout = std::chrono::milliseconds(timeout_ms);
   }
   if (max_display_rows > 0) request.max_display_rows = max_display_rows;
-  request.explain = (flags & 0x01) != 0;
-  request.optimize = (flags & 0x02) != 0;
-  request.textual_join_order = (flags & 0x04) != 0;
+  request.explain = flags == kQueryFlagExplain;
   request.paths.from = std::move(paths_from);
   request.paths.to = std::move(paths_to);
   request.paths.mode = paths_mode == 1   ? PathMode::kShortest

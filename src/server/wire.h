@@ -24,8 +24,9 @@ namespace server {
 /// Requests (client -> server):
 ///   HELLO   str tenant | str default_language | u32 default_timeout_ms
 ///   QUERY   str language | str text | u32 timeout_ms | u32 max_display_rows
-///           | u8 flags (bit0 explain, bit1 optimize, bit2 textual order)
+///           | u8 flags (bit0 explain; every other bit must be clear)
 ///           | str paths_from | str paths_to | u8 paths_mode | u32 k_shortest
+///           (paths_mode: 0 all, 1 shortest, 2 simple, 3 trail)
 ///   MUTATE  u32 count | count x str op_line (shell mutation syntax)
 ///   CANCEL  (empty)
 ///   STATS   (empty)
@@ -51,6 +52,11 @@ enum class FrameType : uint8_t {
   kDone = 0x83,
   kStatsText = 0x84,
 };
+
+/// The one QUERY flag bit. The server rejects a frame with any other bit
+/// set, so a bit can later gain a meaning without old servers silently
+/// ignoring it.
+inline constexpr uint8_t kQueryFlagExplain = 0x01;
 
 /// Upper bound on a single frame's payload — a sanity valve against a
 /// corrupt or malicious length prefix, not a practical limit (row chunks

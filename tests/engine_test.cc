@@ -15,6 +15,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_io.h"
+#include "src/regex/parser.h"
 
 namespace gqzoo {
 namespace {
@@ -109,36 +110,44 @@ TEST(QueryEngineTest, SecondExecutionHitsPlanCache) {
   EXPECT_EQ(cold.value().num_rows, warm.value().num_rows);
 }
 
-TEST(QueryEngineTest, OptimizedAndPlainPlansAreDistinctEntries) {
+TEST(QueryEngineTest, PushdownIsPartOfTheOnePlan) {
+  // CoreGQL compiles with its WHERE pushdown applied: one cache entry
+  // serves execution and EXPLAIN, EXPLAIN reports what was pushed, and the
+  // rendered rows carry no pushdown header.
   QueryEngine engine(Figure3Graph());
-  QueryRequest plain = Req(QueryLanguage::kCoreGql,
-                           "MATCH (x)-[:Transfer]->(y) RETURN x, y");
-  QueryRequest optimized = plain;
-  optimized.optimize = true;
+  QueryRequest request = Req(QueryLanguage::kCoreGql,
+                             "MATCH (x)-[t:Transfer]->(y) WHERE x:Account "
+                             "AND t.amount > 0 RETURN x, y");
+  Result<QueryResponse> rows = engine.Execute(request);
+  ASSERT_TRUE(rows.ok()) << rows.error().message();
+  EXPECT_EQ(rows.value().text.find("pushdown"), std::string::npos)
+      << rows.value().text;
+  EXPECT_GT(rows.value().num_rows, 0u);
 
-  ASSERT_TRUE(engine.Execute(plain).ok());
-  Result<QueryResponse> r = engine.Execute(optimized);
-  ASSERT_TRUE(r.ok());
-  EXPECT_FALSE(r.value().cache_hit);  // different cache key
-  EXPECT_EQ(engine.plan_cache().GetStats().entries, 2u);
+  QueryRequest explain = request;
+  explain.explain = true;
+  Result<QueryResponse> plan = engine.Execute(explain);
+  ASSERT_TRUE(plan.ok());
+  EXPECT_TRUE(plan.value().cache_hit);
+  EXPECT_EQ(plan.value().text.rfind("pushdown: 1 labels, 1 selections\n", 0),
+            0u)
+      << plan.value().text;
+  EXPECT_EQ(engine.plan_cache().GetStats().entries, 1u);
 }
 
 TEST(QueryEngineTest, PlanCacheKeyHasNoDelimiterCollision) {
   // Regression: options used to be folded into the key by appending
-  // "\x01opt" to the text, so the *unoptimized* compile of the literal
-  // query `X + "\x01opt"` shared a cache entry with the *optimized*
-  // compile of `X`. Structural keys must keep them distinct.
+  // "\x01opt" to the text. The key is the verbatim text, so a text with
+  // that suffix must not share an entry with the text without it.
   const std::string base = "MATCH (x)-[:Transfer]->(y) RETURN x, y";
-  PlanCacheKey optimized{QueryLanguage::kCoreGql, base, 0, true};
-  PlanCacheKey collider{QueryLanguage::kCoreGql, base + "\x01opt", 0, false};
-  EXPECT_FALSE(optimized == collider);
+  PlanCacheKey plain{QueryLanguage::kCoreGql, base, 0};
+  PlanCacheKey collider{QueryLanguage::kCoreGql, base + "\x01opt", 0};
+  EXPECT_FALSE(plain == collider);
 
   // End to end: the colliding text is a parse error, so a shared cache
-  // entry would instead return the optimized plan's (successful) response.
+  // entry would instead return the first plan's (successful) response.
   QueryEngine engine(Figure3Graph());
-  QueryRequest opt_req = Req(QueryLanguage::kCoreGql, base);
-  opt_req.optimize = true;
-  ASSERT_TRUE(engine.Execute(opt_req).ok());
+  ASSERT_TRUE(engine.Execute(Req(QueryLanguage::kCoreGql, base)).ok());
 
   QueryRequest collider_req =
       Req(QueryLanguage::kCoreGql, base + "\x01opt");
@@ -445,9 +454,7 @@ TEST(QueryEngineTest, PathsBuildOnlyTheProductBetweenTheEndpoints) {
   // A 200-atom concatenation on a 200k-edge chain: the whole product has
   // ~4·10^7 states, the part reachable from (u1, q0) about 200. Paths
   // requests must build only the latter, well inside a 10 MB budget and a
-  // deadline that a whole-product construction misses by far. (Regexes
-  // far longer than this overflow the recursive Glushkov construction's
-  // stack in sanitizer builds.)
+  // deadline that a whole-product construction misses by far.
   QueryEngine engine(ToPropertyGraph(Chain(200000)));
   std::string regex = "a";
   for (int i = 1; i < 200; ++i) regex += " a";
@@ -461,6 +468,33 @@ TEST(QueryEngineTest, PathsBuildOnlyTheProductBetweenTheEndpoints) {
     Result<QueryResponse> r = engine.Execute(request);
     ASSERT_TRUE(r.ok()) << PathModeName(mode) << ": " << r.error().message();
     EXPECT_EQ(r.value().num_rows, 0u) << PathModeName(mode);
+  }
+}
+
+TEST(QueryEngineTest, RegexDepthLimitIsAParseError) {
+  // A concatenation of n atoms is a syntax tree n deep; kMaxRegexDepth
+  // bounds every language that embeds a regex.
+  QueryEngine engine(Figure3Graph());
+  std::string at_limit = "Transfer";
+  for (size_t i = 1; i < kMaxRegexDepth; ++i) at_limit += " Transfer";
+  const std::string too_deep = at_limit + " Transfer";
+  for (QueryLanguage language : {QueryLanguage::kRpq, QueryLanguage::kCrpq,
+                                 QueryLanguage::kPaths}) {
+    auto request = [&](const std::string& regex) {
+      QueryRequest r = Req(language, language == QueryLanguage::kCrpq
+                                         ? "q(x, y) :- (" + regex + ")(x, y)"
+                                         : regex);
+      r.paths.from = "a2";
+      r.paths.to = "a4";
+      return r;
+    };
+    Result<QueryResponse> ok = engine.Execute(request(at_limit));
+    ASSERT_TRUE(ok.ok()) << QueryLanguageName(language) << ": "
+                         << ok.error().message();
+    Result<QueryResponse> deep = engine.Execute(request(too_deep));
+    ASSERT_FALSE(deep.ok()) << QueryLanguageName(language);
+    EXPECT_EQ(deep.error().code(), ErrorCode::kParse)
+        << deep.error().message();
   }
 }
 

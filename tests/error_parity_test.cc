@@ -25,6 +25,7 @@
 #include "src/crpq/eval.h"
 #include "src/datatest/dl_eval.h"
 #include "src/engine/engine.h"
+#include "src/fuzz/plan_legs.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
 #include "src/rpq/rpq_eval.h"
@@ -273,29 +274,47 @@ TEST(ErrorParityTest, SubmitShedIsOverloadedForEveryLanguage) {
 }
 
 TEST(ErrorParityTest, StaticErrorsKeepTheirClassAcrossJoinOrders) {
-  // Parse and not-found outcomes must not depend on execution-time policy
-  // (planner vs textual order, budgets).
-  QueryEngine engine(ToPropertyGraph(Clique(4)));
+  // Parse and not-found outcomes must not depend on execution policy:
+  // every plan leg (planner or textual order, wcoj group on or off) fails
+  // with the engine's error.
+  PropertyGraph g = ToPropertyGraph(Clique(4));
+  QueryEngine engine{PropertyGraph(g)};
   QueryRequest bad;
   bad.language = QueryLanguage::kCrpq;
   bad.text = "q(x :- broken";
-  for (bool textual : {false, true}) {
-    bad.textual_join_order = textual;
-    Result<QueryResponse> r = engine.Execute(bad);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code(), ErrorCode::kParse);
-  }
+  Result<QueryResponse> r = engine.Execute(bad);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), ErrorCode::kParse);
 
   QueryRequest missing;
   missing.language = QueryLanguage::kPaths;
   missing.text = "a+";
   missing.paths.from = "q0";
   missing.paths.to = "no_such_node";
-  for (bool textual : {false, true}) {
-    missing.textual_join_order = textual;
-    Result<QueryResponse> r = engine.Execute(missing);
-    ASSERT_FALSE(r.ok());
-    EXPECT_EQ(r.error().code(), ErrorCode::kNotFound);
+  r = engine.Execute(missing);
+  ASSERT_FALSE(r.ok());
+  EXPECT_EQ(r.error().code(), ErrorCode::kNotFound);
+
+  const char* unknown_constant =
+      "q(x) :- a(x, y), a(y, z), a(x, z), a(@no_such_node, x)";
+  QueryRequest constant;
+  constant.language = QueryLanguage::kCrpq;
+  constant.text = unknown_constant;
+  r = engine.Execute(constant);
+  ASSERT_FALSE(r.ok());
+  GraphSnapshot snapshot(g);
+  SnapshotStats stats(snapshot);
+  Result<PlanPtr> plan =
+      CompilePlan(QueryLanguage::kCrpq, unknown_constant, g, 0, {}, &stats);
+  ASSERT_TRUE(plan.ok()) << plan.error().message();
+  ConjunctiveRun run;
+  run.snapshot = &snapshot;
+  for (fuzz::PlanLeg leg : fuzz::kPlanLegs) {
+    Result<QueryResponse> leg_run =
+        fuzz::RunPlan(fuzz::PlanForLeg(*plan.value(), leg), g, run);
+    ASSERT_FALSE(leg_run.ok()) << fuzz::PlanLegName(leg);
+    EXPECT_EQ(leg_run.error().code(), r.error().code())
+        << fuzz::PlanLegName(leg);
   }
 }
 

@@ -4,7 +4,7 @@
 // bug; keeping them green means the fix stayed fixed.
 //
 // Engine-level legs run too, against a per-suite engine, so the corpus
-// also covers plan-cache, planner-vs-textual, and error-parity behavior.
+// also covers plan-cache, plan-leg, and error-parity behavior.
 
 #include <gtest/gtest.h>
 

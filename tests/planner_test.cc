@@ -2,7 +2,8 @@
 // snapshot statistics, cost-model sanity against exact counts, the greedy
 // join orderer, and — most importantly — differential suites asserting
 // that planner-ordered evaluation returns results byte-identical to
-// textual-order evaluation across all three conjunctive languages.
+// textual-order evaluation across all three conjunctive languages (the
+// plan legs of src/fuzz/plan_legs.h).
 
 #include <gtest/gtest.h>
 
@@ -32,6 +33,7 @@
 namespace gqzoo {
 namespace {
 
+using testing_util::ExpectPlanLegsAgree;
 using testing_util::Rx;
 
 /// Wraps an edge-labeled graph as a property graph (all nodes labeled "N")
@@ -298,33 +300,10 @@ TEST(RelKernelTest, TrippedContextSkipsNormalizeOnCoreRelation) {
 }
 
 // ---------------------------------------------------------------------------
-// Differential suite: planner order vs textual order, byte-identical.
+// Differential suite: the compiled plan's legs (planner vs textual order,
+// wcoj group on/off, WHERE pushdown on/off), byte-identical.
 
-class DifferentialTest : public ::testing::Test {
- protected:
-  /// Executes `text` twice through an engine over `g` — once with the
-  /// planner's order, once forced textual — and asserts byte-identical
-  /// rendered responses.
-  static void ExpectOrderInvariant(PropertyGraph g, QueryLanguage language,
-                                   const std::string& text) {
-    QueryEngine engine(std::move(g));
-    QueryRequest planned;
-    planned.language = language;
-    planned.text = text;
-    QueryRequest textual = planned;
-    textual.textual_join_order = true;
-
-    Result<QueryResponse> a = engine.Execute(planned);
-    Result<QueryResponse> b = engine.Execute(textual);
-    ASSERT_EQ(a.ok(), b.ok()) << text;
-    if (!a.ok()) {
-      EXPECT_EQ(a.error().message(), b.error().message()) << text;
-      return;
-    }
-    EXPECT_EQ(a.value().text, b.value().text) << text;
-    EXPECT_EQ(a.value().num_rows, b.value().num_rows) << text;
-  }
-};
+class DifferentialTest : public ::testing::Test {};
 
 TEST_F(DifferentialTest, CrpqShapesOnRandomGraphs) {
   const std::string queries[] = {
@@ -342,17 +321,17 @@ TEST_F(DifferentialTest, CrpqShapesOnRandomGraphs) {
   for (uint64_t seed : {1u, 2u, 3u}) {
     EdgeLabeledGraph g = RandomGraph(30, 120, 3, seed);
     for (const std::string& q : queries) {
-      ExpectOrderInvariant(ToPropertyGraph(g), QueryLanguage::kCrpq, q);
+      ExpectPlanLegsAgree(ToPropertyGraph(g), QueryLanguage::kCrpq, q);
     }
   }
 }
 
 TEST_F(DifferentialTest, CrpqOnPessimalStarJoin) {
   EdgeLabeledGraph g = StarJoinGraph(40, 10, 3);
-  ExpectOrderInvariant(ToPropertyGraph(g), QueryLanguage::kCrpq,
-                       "q(x) := big1(x, y), big2(x, z), rare(x, w)");
-  ExpectOrderInvariant(ToPropertyGraph(g), QueryLanguage::kCrpq,
-                       "q(x, w) := big1(x, y), rare(x, w), big2(x, z)");
+  ExpectPlanLegsAgree(ToPropertyGraph(g), QueryLanguage::kCrpq,
+                      "q(x) := big1(x, y), big2(x, z), rare(x, w)");
+  ExpectPlanLegsAgree(ToPropertyGraph(g), QueryLanguage::kCrpq,
+                      "q(x, w) := big1(x, y), rare(x, w), big2(x, z)");
 }
 
 TEST_F(DifferentialTest, DlCrpqWithDataTests) {
@@ -364,7 +343,7 @@ TEST_F(DifferentialTest, DlCrpqWithDataTests) {
   for (uint64_t seed : {5u, 6u}) {
     PropertyGraph g = RandomPropertyGraph(25, 100, 8, seed);
     for (const std::string& q : queries) {
-      ExpectOrderInvariant(g, QueryLanguage::kDlCrpq, q);
+      ExpectPlanLegsAgree(g, QueryLanguage::kDlCrpq, q);
     }
   }
 }
@@ -376,11 +355,14 @@ TEST_F(DifferentialTest, CoreGqlMultiPatternBlocks) {
       "RETURN x, y",
       "MATCH (x)->(y) RETURN x UNION MATCH (x)->(y), (y)->(z) RETURN x",
       "MATCH (x)->(y), (y)->(z) RETURN x EXCEPT MATCH (x)->(x) RETURN x",
+      // label and constant-selection pushdown
+      "MATCH (x)-[e]->(y), (y)->(z) WHERE x:N AND e.k = 2 AND z.k < 3 "
+      "RETURN x, z",
   };
   for (uint64_t seed : {8u, 9u}) {
     PropertyGraph g = RandomPropertyGraph(20, 70, 4, seed);
     for (const std::string& q : queries) {
-      ExpectOrderInvariant(g, QueryLanguage::kCoreGql, q);
+      ExpectPlanLegsAgree(g, QueryLanguage::kCoreGql, q);
     }
   }
 }
@@ -389,8 +371,8 @@ TEST_F(DifferentialTest, ErrorsSurfaceIdenticallyUnderReordering) {
   // Unknown constants are validated in textual order before any join, so
   // the planner's reordering never changes which error the user sees.
   EdgeLabeledGraph g = StarJoinGraph(10, 4, 2);
-  ExpectOrderInvariant(ToPropertyGraph(g), QueryLanguage::kCrpq,
-                       "q(x) := big1(x, y), big2(@nope, z), rare(@missing, w)");
+  ExpectPlanLegsAgree(ToPropertyGraph(g), QueryLanguage::kCrpq,
+                      "q(x) := big1(x, y), big2(@nope, z), rare(@missing, w)");
 }
 
 // ---------------------------------------------------------------------------

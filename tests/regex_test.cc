@@ -1,5 +1,6 @@
 #include <gtest/gtest.h>
 
+#include "src/automata/glushkov.h"
 #include "src/regex/lexer.h"
 #include "src/regex/parser.h"
 #include "src/regex/printer.h"
@@ -101,6 +102,67 @@ TEST(PlainRegexParserTest, Errors) {
   EXPECT_FALSE(ParseRegex("a{3,1}", RegexDialect::kPlain).ok());
   EXPECT_FALSE(ParseRegex("", RegexDialect::kPlain).ok());
   EXPECT_FALSE(ParseRegex("*", RegexDialect::kPlain).ok());
+}
+
+/// `n` copies of `atom` joined by `sep`: a chain n deep.
+std::string Chain(const std::string& atom, const std::string& sep, size_t n) {
+  std::string out = atom;
+  for (size_t i = 1; i < n; ++i) out += sep + atom;
+  return out;
+}
+
+TEST(RegexDepthTest, AtTheLimitEveryRecursivePassRuns) {
+  // Concatenation and union chains, nested stars and a desugared repeat,
+  // each exactly kMaxRegexDepth deep: the recursive passes over the tree
+  // (Glushkov construction, Nullable, ToString, destruction) must not
+  // exhaust the stack, sanitizer builds included.
+  std::string stars = "a";
+  for (size_t i = 1; i < kMaxRegexDepth; ++i) stars = "(" + stars + ")*";
+  const std::string at_limit[] = {
+      Chain("a", " ", kMaxRegexDepth),
+      Chain("a", " | ", kMaxRegexDepth),
+      stars,
+      "a{" + std::to_string(kMaxRegexDepth) + "}",
+  };
+  for (const std::string& text : at_limit) {
+    Result<RegexPtr> r = ParseRegex(text, RegexDialect::kPlain);
+    ASSERT_TRUE(r.ok()) << text.substr(0, 40) << ": " << r.error().message();
+    EXPECT_EQ(r.value()->depth(), kMaxRegexDepth);
+    GlushkovAutomaton a = BuildGlushkov(*r.value());
+    EXPECT_EQ(a.position_atoms.size(), r.value()->NumPositions());
+    EXPECT_EQ(r.value()->Nullable(), a.initial_accepting);
+    EXPECT_FALSE(r.value()->ToString().empty());
+  }
+}
+
+TEST(RegexDepthTest, OnePastTheLimitIsAParseError) {
+  std::string stars = "a";
+  for (size_t i = 0; i < kMaxRegexDepth; ++i) stars = "(" + stars + ")*";
+  const std::string too_deep[] = {
+      Chain("a", " ", kMaxRegexDepth + 1),
+      Chain("a", " | ", kMaxRegexDepth + 1),
+      stars,
+      "a{" + std::to_string(kMaxRegexDepth + 1) + "}",
+      "a{" + std::to_string(kMaxRegexDepth) + ",}",
+      "(a b){" + std::to_string(kMaxRegexDepth) + "}",
+      // Rejected before the repeat is desugared, so no huge tree is built.
+      "a{4000000000}",
+      "a{18446744073709551615,}",
+      // Group nesting recurses in the parser even where it adds no tree
+      // level.
+      std::string(100000, '(') + "a" + std::string(100000, ')'),
+  };
+  for (const std::string& text : too_deep) {
+    Result<RegexPtr> r = ParseRegex(text, RegexDialect::kPlain);
+    ASSERT_FALSE(r.ok()) << text.substr(0, 40);
+    EXPECT_NE(r.error().message().find("deeper than"), std::string::npos)
+        << r.error().message();
+  }
+  // A long run of '~' is not nesting: it reads as one inverse atom.
+  Result<RegexPtr> inverse =
+      ParseRegex(std::string(100000, '~') + "a", RegexDialect::kPlain);
+  ASSERT_TRUE(inverse.ok()) << inverse.error().message();
+  EXPECT_TRUE(inverse.value()->atom().inverse);
 }
 
 TEST(PlainRegexParserTest, ClassPredicates) {

@@ -1,7 +1,7 @@
 // Lifecycle tests for the network front-end: real sockets on loopback,
 // streaming byte-identity against the in-process engine, mid-query
 // cancellation (CANCEL frame and plain disconnect), graceful drain under
-// load, and per-tenant quota shedding.
+// load, per-tenant quota shedding, and QUERY frame validation.
 
 #include "src/server/server.h"
 
@@ -16,6 +16,7 @@
 #include "src/graph/generators.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_io.h"
+#include "src/regex/parser.h"
 #include "src/server/client.h"
 
 namespace gqzoo {
@@ -267,6 +268,105 @@ TEST(ServerTest, MutationsStreamThroughTheWritePathAndAck) {
   Result<DoneStatus> bad = client.Mutate({"add-node"});
   ASSERT_TRUE(bad.ok());
   EXPECT_FALSE(bad.value().ok);
+}
+
+/// A QUERY frame for an rpq `text`, encoded by hand so a test can set
+/// fields the client never sends.
+std::string QueryPayload(const std::string& text, uint8_t flags,
+                         uint8_t paths_mode) {
+  std::string payload;
+  AppendString(&payload, "rpq");
+  AppendString(&payload, text);
+  AppendU32(&payload, 0);  // timeout_ms
+  AppendU32(&payload, 0);  // max_display_rows
+  AppendU8(&payload, flags);
+  AppendString(&payload, "");  // paths_from
+  AppendString(&payload, "");  // paths_to
+  AppendU8(&payload, paths_mode);
+  AppendU32(&payload, 0);  // k_shortest
+  return payload;
+}
+
+/// Sends one raw QUERY frame and reads frames up to its DONE.
+DoneStatus SendRawQuery(Client* client, const std::string& payload) {
+  EXPECT_TRUE(WriteFrame(client->fd(), FrameType::kQuery, payload).ok());
+  for (;;) {
+    Result<Frame> frame = ReadFrame(client->fd());
+    EXPECT_TRUE(frame.ok());
+    if (!frame.ok()) return DoneStatus{};
+    if (frame.value().type != FrameType::kDone) continue;
+    Result<DoneStatus> done = DecodeDone(frame.value().payload);
+    EXPECT_TRUE(done.ok());
+    return done.ok() ? done.value() : DoneStatus{};
+  }
+}
+
+TEST(ServerTest, QueryFrameWithUnknownFlagBitIsMalformed) {
+  QueryEngine engine(Figure3Graph());
+  GraphServer server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client = ConnectTo(server);
+  ASSERT_TRUE(client.Hello("tenant-a").ok());
+
+  EXPECT_TRUE(SendRawQuery(&client, QueryPayload("Transfer", 0x01, 0)).ok);
+  for (uint8_t flags : {0x02, 0x04, 0x03, 0x80}) {
+    DoneStatus done = SendRawQuery(&client, QueryPayload("Transfer", flags, 0));
+    EXPECT_FALSE(done.ok) << int{flags};
+    EXPECT_EQ(done.code, ErrorCode::kInvalidArgument) << int{flags};
+    EXPECT_NE(done.message.find("malformed QUERY payload"), std::string::npos)
+        << done.message;
+  }
+  // The session survives a rejected frame.
+  EXPECT_TRUE(SendRawQuery(&client, QueryPayload("Transfer", 0, 0)).ok);
+}
+
+TEST(ServerTest, QueryFrameWithPathsModeAboveThreeIsMalformed) {
+  QueryEngine engine(Figure3Graph());
+  GraphServer server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client = ConnectTo(server);
+  ASSERT_TRUE(client.Hello("tenant-a").ok());
+
+  ClientQueryOptions options;
+  options.language = "paths";
+  options.paths_from = "a2";
+  options.paths_to = "a4";
+  options.paths_mode = 3;  // trail
+  Result<DoneStatus> trail = client.Query("Transfer+", options);
+  ASSERT_TRUE(trail.ok());
+  EXPECT_TRUE(trail.value().ok) << trail.value().message;
+  for (uint8_t mode : {4, 255}) {
+    options.paths_mode = mode;
+    Result<DoneStatus> done = client.Query("Transfer+", options);
+    ASSERT_TRUE(done.ok());
+    EXPECT_FALSE(done.value().ok) << int{mode};
+    EXPECT_EQ(done.value().code, ErrorCode::kInvalidArgument);
+    EXPECT_NE(done.value().message.find("malformed QUERY payload"),
+              std::string::npos)
+        << done.value().message;
+  }
+}
+
+TEST(ServerTest, RegexDepthLimitHoldsOverTheWire) {
+  // A concatenation of n atoms is a syntax tree n deep.
+  QueryEngine engine(Figure3Graph());
+  GraphServer server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client = ConnectTo(server);
+  ASSERT_TRUE(client.Hello("tenant-a").ok());
+
+  std::string at_limit = "Transfer";
+  for (size_t i = 1; i < kMaxRegexDepth; ++i) at_limit += " Transfer";
+  ClientQueryOptions options;
+  options.language = "rpq";
+  Result<DoneStatus> ok = client.Query(at_limit, options);
+  ASSERT_TRUE(ok.ok());
+  EXPECT_TRUE(ok.value().ok) << ok.value().message;
+
+  Result<DoneStatus> deep = client.Query(at_limit + " Transfer", options);
+  ASSERT_TRUE(deep.ok());
+  EXPECT_FALSE(deep.value().ok);
+  EXPECT_EQ(deep.value().code, ErrorCode::kParse) << deep.value().message;
 }
 
 }  // namespace

@@ -1,5 +1,8 @@
 #include "tests/test_util.h"
 
+#include <gtest/gtest.h>
+
+#include "src/fuzz/plan_legs.h"
 #include "src/rpq/rpq_eval.h"
 
 #include <algorithm>
@@ -191,6 +194,32 @@ std::vector<std::string> PairNames(
   }
   std::sort(out.begin(), out.end());
   return out;
+}
+
+size_t ExpectPlanLegsAgree(const PropertyGraph& g, QueryLanguage language,
+                           const std::string& text) {
+  GraphSnapshot snapshot(g);
+  SnapshotStats stats(snapshot);
+  Result<PlanPtr> plan = CompilePlan(language, text, g, 0, {}, &stats);
+  EXPECT_TRUE(plan.ok()) << text << ": " << plan.error().message();
+  if (!plan.ok()) return 0;
+  ConjunctiveRun run;
+  run.snapshot = &snapshot;
+  const Result<QueryResponse> planned = fuzz::RunPlan(*plan.value(), g, run);
+  for (fuzz::PlanLeg leg : fuzz::kPlanLegs) {
+    const Result<QueryResponse> r =
+        fuzz::RunPlan(fuzz::PlanForLeg(*plan.value(), leg), g, run);
+    const char* name = fuzz::PlanLegName(leg);
+    EXPECT_EQ(r.ok(), planned.ok()) << name << ": " << text;
+    if (!r.ok() && !planned.ok()) {
+      EXPECT_EQ(r.error().message(), planned.error().message()) << name;
+    } else if (r.ok() && planned.ok()) {
+      EXPECT_EQ(r.value().text, planned.value().text) << name << ": " << text;
+      EXPECT_EQ(r.value().num_rows, planned.value().num_rows) << name;
+      EXPECT_EQ(r.value().truncated, planned.value().truncated) << name;
+    }
+  }
+  return planned.ok() ? planned.value().num_rows : 0;
 }
 
 }  // namespace testing_util

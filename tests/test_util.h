@@ -9,6 +9,7 @@
 #include "src/coregql/query.h"
 #include "src/crpq/eval.h"
 #include "src/datatest/dl_eval.h"
+#include "src/engine/language.h"
 #include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/graph/path_binding.h"
@@ -70,6 +71,14 @@ Result<GqlEvalResult> SnapshotEvalGqlGroupPattern(
 /// [[R]]_G over a snapshot of `g`, with `regex` compiled against `g`.
 std::vector<std::pair<NodeId, NodeId>> SnapshotEvalRpq(
     const EdgeLabeledGraph& g, const Regex& regex);
+
+/// Compiles `text` once with `CompilePlan` over `g` and runs every
+/// `fuzz::PlanLeg` of it (planned vs textual join order, with vs without
+/// the wcoj group, CoreGQL with vs without WHERE pushdown), expecting the
+/// same status and message, or the same rendered rows. Returns the planned
+/// leg's row count (0 when it failed).
+size_t ExpectPlanLegsAgree(const PropertyGraph& g, QueryLanguage language,
+                           const std::string& text);
 
 /// Node names of pairs for readable assertions: {"a1->a2", ...}.
 std::vector<std::string> PairNames(const EdgeLabeledGraph& g,

@@ -1,8 +1,8 @@
 // Tests for the worst-case-optimal join path: the trie-iterator kernel
 // (src/rel/wcoj.h) on hand-computed cyclic patterns, the planner's cyclic-
-// core detection (src/planner/planner.h), and the engine-level guarantee
-// that wcoj / binary / textual execution render byte-identical results
-// across crpq, dl-crpq, and coregql.
+// core detection (src/planner/planner.h), and the guarantee that a plan's
+// wcoj / binary / textual legs render byte-identical results across crpq,
+// dl-crpq, and coregql.
 
 #include "src/rel/wcoj.h"
 
@@ -13,15 +13,19 @@
 
 #include "src/engine/engine.h"
 #include "src/engine/language.h"
+#include "src/fuzz/plan_legs.h"
 #include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/planner/planner.h"
 #include "src/planner/stats.h"
+#include "src/util/failpoint.h"
+#include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
 
 using Row = std::vector<NodeId>;
+using testing_util::ExpectPlanLegsAgree;
 
 QueryRequest Req(QueryLanguage language, const std::string& text) {
   QueryRequest request;
@@ -224,54 +228,22 @@ TEST(DetectWcojCoreTest, PendantEdgesArePrunedOffTheCore) {
 }
 
 // --------------------------------------------------------------------------
-// Engine-level differential and explain checks.
+// Plan-leg differential, explain and metrics checks.
 // --------------------------------------------------------------------------
-
-// Executes `text` four ways — wcoj on, wcoj off, textual order, and wcoj
-// off + batch kernel — and requires byte-identical rendered results.
-// Returns the wcoj-on text.
-std::string ExpectPathInvariant(const PropertyGraph& g,
-                                QueryLanguage language,
-                                const std::string& text,
-                                size_t* num_rows = nullptr) {
-  QueryEngine engine{PropertyGraph(g)};
-  QueryRequest wcoj_on = Req(language, text);
-  wcoj_on.use_wcoj = true;
-  QueryRequest wcoj_off = wcoj_on;
-  wcoj_off.use_wcoj = false;
-  QueryRequest textual = wcoj_off;
-  textual.textual_join_order = true;
-  QueryRequest batch = wcoj_off;
-  batch.use_batch_kernel = true;
-  Result<QueryResponse> on = engine.Execute(wcoj_on);
-  Result<QueryResponse> off = engine.Execute(wcoj_off);
-  Result<QueryResponse> tex = engine.Execute(textual);
-  Result<QueryResponse> bat = engine.Execute(batch);
-  EXPECT_TRUE(on.ok() && off.ok() && tex.ok() && bat.ok()) << text;
-  if (!on.ok() || !off.ok() || !tex.ok() || !bat.ok()) return std::string();
-  EXPECT_EQ(on.value().text, off.value().text) << text;
-  EXPECT_EQ(on.value().text, tex.value().text) << text;
-  EXPECT_EQ(on.value().text, bat.value().text) << text;
-  EXPECT_EQ(on.value().num_rows, off.value().num_rows);
-  if (num_rows != nullptr) *num_rows = on.value().num_rows;
-  return on.value().text;
-}
 
 TEST(WcojEngineTest, TriangleByteIdenticalAcrossLanguages) {
   PropertyGraph g = ToPropertyGraph(TwoTriangles());
-  size_t rows = 0;
-  ExpectPathInvariant(g, QueryLanguage::kCrpq,
-                      "q(x, y, z) :- a(x, y), b(y, z), c(x, z)", &rows);
-  EXPECT_EQ(rows, 2u);
-  ExpectPathInvariant(g, QueryLanguage::kDlCrpq,
-                      "q(x, y, z) := [a] (x, y), [b] (y, z), [c] (x, z)",
-                      &rows);
-  EXPECT_EQ(rows, 2u);
-  ExpectPathInvariant(
-      g, QueryLanguage::kCoreGql,
-      "MATCH (x)-[:a]->(y), (y)-[:b]->(z), (x)-[:c]->(z) RETURN x, y, z",
-      &rows);
-  EXPECT_EQ(rows, 2u);
+  EXPECT_EQ(ExpectPlanLegsAgree(g, QueryLanguage::kCrpq,
+                                "q(x, y, z) :- a(x, y), b(y, z), c(x, z)"),
+            2u);
+  EXPECT_EQ(
+      ExpectPlanLegsAgree(g, QueryLanguage::kDlCrpq,
+                          "q(x, y, z) := [a] (x, y), [b] (y, z), [c] (x, z)"),
+      2u);
+  EXPECT_EQ(ExpectPlanLegsAgree(g, QueryLanguage::kCoreGql,
+                                "MATCH (x)-[:a]->(y), (y)-[:b]->(z), "
+                                "(x)-[:c]->(z) RETURN x, y, z"),
+            2u);
 }
 
 TEST(WcojEngineTest, StarWithChordByteIdentical) {
@@ -283,12 +255,10 @@ TEST(WcojEngineTest, StarWithChordByteIdentical) {
   for (uint32_t i = 1; i <= 5; ++i) g.AddEdge(0, i, "spoke");
   g.AddEdge(1, 2, "chord");
   g.AddEdge(3, 4, "chord");
-  PropertyGraph pg = ToPropertyGraph(g);
-  size_t rows = 0;
-  ExpectPathInvariant(
-      pg, QueryLanguage::kCrpq,
-      "q(h, u, v) :- spoke(h, u), spoke(h, v), chord(u, v)", &rows);
-  EXPECT_EQ(rows, 2u);  // (0,1,2) and (0,3,4)
+  EXPECT_EQ(ExpectPlanLegsAgree(
+                ToPropertyGraph(g), QueryLanguage::kCrpq,
+                "q(h, u, v) :- spoke(h, u), spoke(h, v), chord(u, v)"),
+            2u);  // (0,1,2) and (0,3,4)
 }
 
 TEST(WcojEngineTest, LargerCliquePatternsStayIdentical) {
@@ -302,10 +272,10 @@ TEST(WcojEngineTest, LargerCliquePatternsStayIdentical) {
     }
   }
   PropertyGraph pg = ToPropertyGraph(g);
-  ExpectPathInvariant(pg, QueryLanguage::kCrpq,
+  ExpectPlanLegsAgree(pg, QueryLanguage::kCrpq,
                       "q(w, x, y, z) :- e(w, x), e(w, y), e(w, z), "
                       "e(x, y), e(x, z), e(y, z)");
-  ExpectPathInvariant(pg, QueryLanguage::kCrpq,
+  ExpectPlanLegsAgree(pg, QueryLanguage::kCrpq,
                       "q(x, y, z, w) :- e(x, y), e(y, w), e(x, z), e(z, w)");
 }
 
@@ -353,50 +323,53 @@ TEST(WcojEngineTest, ClosureAtomsStayOnTheBinaryPath) {
   EXPECT_EQ(r.value().text.find("wcoj("), std::string::npos) << r.value().text;
 }
 
-TEST(WcojEngineTest, MetricsCountSelectionsAndBatchRows) {
+TEST(WcojEngineTest, MetricsCountWcojSelections) {
   QueryEngine engine(ToPropertyGraph(TwoTriangles()));
   QueryRequest request =
       Req(QueryLanguage::kCrpq, "q(x, y, z) :- a(x, y), b(y, z), c(x, z)");
-  ASSERT_TRUE(engine.Execute(request).ok());  // engine default: wcoj on
+  ASSERT_TRUE(engine.Execute(request).ok());
   EXPECT_EQ(engine.metrics().wcoj_plans.value(), 1u);
   EXPECT_EQ(engine.metrics()
                 .wcoj_by_language[static_cast<size_t>(QueryLanguage::kCrpq)]
                 .value(),
             1u);
-  EXPECT_EQ(engine.metrics().batch_rows.value(), 0u);
-  QueryRequest batch = request;
-  batch.use_batch_kernel = true;
-  ASSERT_TRUE(engine.Execute(batch).ok());
-  EXPECT_EQ(engine.metrics().batch_rows.value(), 2u);
   std::string report = engine.metrics().ReportText();
   EXPECT_NE(report.find("wcoj_plans"), std::string::npos);
-  EXPECT_NE(report.find("batch_rows"), std::string::npos);
   EXPECT_NE(report.find("wcoj[crpq]"), std::string::npos) << report;
 }
 
-TEST(WcojEngineTest, EngineOptionCanDisableWcoj) {
-  QueryEngine::Options options;
-  options.use_wcoj = false;
-  QueryEngine engine(ToPropertyGraph(TwoTriangles()), options);
-  QueryRequest request =
-      Req(QueryLanguage::kCrpq, "q(x, y, z) :- a(x, y), b(y, z), c(x, z)");
-  Result<QueryResponse> r = engine.Execute(request);
-  ASSERT_TRUE(r.ok());
-  EXPECT_EQ(r.value().num_rows, 2u);
-  EXPECT_EQ(engine.metrics()
-                .wcoj_by_language[static_cast<size_t>(QueryLanguage::kCrpq)]
-                .value(),
-            0u);
-  // The plan still carries the group (the metric counts compiles).
-  EXPECT_EQ(engine.metrics().wcoj_plans.value(), 1u);
-  // Per-request override re-enables it.
-  QueryRequest forced = request;
-  forced.use_wcoj = true;
-  ASSERT_TRUE(engine.Execute(forced).ok());
-  EXPECT_EQ(engine.metrics()
-                .wcoj_by_language[static_cast<size_t>(QueryLanguage::kCrpq)]
-                .value(),
-            1u);
+TEST(WcojEngineTest, NoWcojLegSkipsTheWcojJoin) {
+  // The plan carries the group; only its no-wcoj leg keeps the join
+  // binary, which the wcoj join's alloc fail-point proves: armed, it trips
+  // the planned leg and is never reached by the no-wcoj leg.
+  PropertyGraph g = ToPropertyGraph(TwoTriangles());
+  GraphSnapshot snapshot(g);
+  SnapshotStats stats(snapshot);
+  Result<PlanPtr> plan =
+      CompilePlan(QueryLanguage::kCrpq,
+                  "q(x, y, z) :- a(x, y), b(y, z), c(x, z)", g, 0, {}, &stats);
+  ASSERT_TRUE(plan.ok()) << plan.error().message();
+  EXPECT_TRUE(std::get<CrpqPlan>(plan.value()->compiled).wcoj);
+
+  Failpoint::DisarmAll();
+  ScopedFailpoint armed("crpq.wcoj.alloc");
+  const uint64_t fired = Failpoint::FireCount("crpq.wcoj.alloc");
+  QueryContext planned_ctx;
+  ConjunctiveRun run;
+  run.snapshot = &snapshot;
+  run.cancel = &planned_ctx;
+  Result<QueryResponse> planned = fuzz::RunPlan(*plan.value(), g, run);
+  ASSERT_FALSE(planned.ok());
+  EXPECT_EQ(planned.error().code(), ErrorCode::kResourceExhausted);
+  EXPECT_EQ(Failpoint::FireCount("crpq.wcoj.alloc"), fired + 1);
+
+  QueryContext binary_ctx;
+  run.cancel = &binary_ctx;
+  Result<QueryResponse> binary = fuzz::RunPlan(
+      fuzz::PlanForLeg(*plan.value(), fuzz::PlanLeg::kNoWcoj), g, run);
+  ASSERT_TRUE(binary.ok()) << binary.error().message();
+  EXPECT_EQ(binary.value().num_rows, 2u);
+  EXPECT_EQ(Failpoint::FireCount("crpq.wcoj.alloc"), fired + 1);
 }
 
 }  // namespace

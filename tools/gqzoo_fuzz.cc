@@ -5,7 +5,8 @@
 // random query in one of the zoo languages, and optionally an injected
 // resource budget. Each case runs through the full leg matrix
 // (definitional reference vs CSR evaluators, built vs mapped snapshot,
-// serial vs sharded, planner vs textual join order, cold vs cached plan,
+// serial vs sharded, the plan legs below the engine (textual order, no
+// wcoj, no pushdown), cold vs cached plan,
 // budget/fail-point injection) plus the
 // metamorphic properties; any disagreement is minimized with delta
 // debugging and emitted as a ready-to-commit corpus file and regression
