@@ -73,6 +73,7 @@ int main() {
   // --- (b) The GQL workaround: all paths EXCEPT violating ones -----------
   CoreQueryEvalOptions options;
   options.path_options.max_path_length = 6;
+  options.path_options.snapshot = &snap;
   CoreQueryResult except = RunCoreGql(
                                g,
                                "MATCH p = (s) ->+ (t) RETURN p "

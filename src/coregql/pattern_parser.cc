@@ -2,6 +2,8 @@
 
 #include <cstdlib>
 
+#include "src/regex/parser.h"
+
 namespace gqzoo {
 
 namespace {
@@ -39,6 +41,8 @@ class Parser {
 
   // pattern := seq ('|' seq)*
   Result<CorePatternPtr> ParsePattern() {
+    if (nesting_ == kMaxRegexDepth) return TooDeep();
+    Nest nest(&nesting_);
     Result<CorePatternPtr> lhs = ParseSeq();
     if (!lhs.ok()) return lhs;
     CorePatternPtr result = std::move(lhs).value();
@@ -53,6 +57,8 @@ class Parser {
 
   // cond := and (OR and)*
   Result<CoreCondPtr> ParseCondition() {
+    if (nesting_ == kMaxRegexDepth) return TooDeep();
+    Nest nest(&nesting_);
     Result<CoreCondPtr> lhs = ParseCondAnd();
     if (!lhs.ok()) return lhs;
     CoreCondPtr result = std::move(lhs).value();
@@ -76,6 +82,20 @@ class Parser {
     return Error("pattern parse error at offset " +
                  std::to_string(Cur().offset) + " ('" + Cur().text +
                  "'): " + message);
+  }
+
+  // Every recursive level (a pattern or condition, a group, a NOT) nests
+  // one deeper, and the parser refuses past the regex parser's bound, so
+  // a request cannot exhaust the stack.
+  struct Nest {
+    explicit Nest(size_t* n) : n_(n) { ++*n_; }
+    ~Nest() { --*n_; }
+    size_t* n_;
+  };
+
+  Error TooDeep() {
+    return Err("pattern nests deeper than " + std::to_string(kMaxRegexDepth) +
+               " levels");
   }
 
   bool StartsFactor() const {
@@ -236,6 +256,8 @@ class Parser {
 
   Result<CoreCondPtr> ParseCondUnary() {
     if (IsKeyword(Cur(), "NOT", "not")) {
+      if (nesting_ == kMaxRegexDepth) return TooDeep();
+      Nest nest(&nesting_);
       ++pos_;
       Result<CoreCondPtr> inner = ParseCondUnary();
       if (!inner.ok()) return inner;
@@ -337,6 +359,7 @@ class Parser {
 
   const std::vector<Token>& tokens_;
   size_t pos_;
+  size_t nesting_ = 0;
 };
 
 }  // namespace

@@ -6,14 +6,11 @@
 #include <vector>
 
 #include "src/graph/graph.h"
-#include "src/graph/path.h"
+#include "src/graph/path_binding.h"
 #include "src/regex/ast.h"
 #include "src/util/result.h"
 
 namespace gqzoo {
-
-/// Path modes of Section 3.1.5 (and GQL/SQL-PGQ).
-enum class PathMode { kAll, kShortest, kSimple, kTrail };
 
 const char* PathModeName(PathMode mode);
 

@@ -8,44 +8,26 @@
 
 namespace gqzoo {
 
+namespace crpq_internal {
+
 namespace {
 
-using crpq_internal::Dedupe;
-using crpq_internal::NaturalJoin;
-using crpq_internal::ProjectHead;
-using crpq_internal::Relation;
-
-// Builds the relation of one atom over its precompiled automaton.
-// Columns: endpoint variables (if not constants), then the atom's list
-// variables. Validation (constants, two-way × list vars) has already run
+// Builds the relation of one atom. Columns: endpoint variables (if not
+// constants), then the atom's list variables. Validation has already run
 // for every atom, so lookups here cannot fail.
-Relation EvalAtom(const EdgeLabeledGraph& g, const GraphSnapshot& snap,
-                  const CrpqAtom& atom, const Nfa& nfa,
-                  const CrpqEvalOptions& options, bool* truncated) {
+Relation EvalAtom(const EdgeLabeledGraph& g, size_t idx, const CrpqAtom& atom,
+                  const CrpqEvalOptions& options, const AtomSearch& search,
+                  bool* truncated) {
   std::vector<std::string> list_vars = atom.regex->CaptureVariables();
 
   auto resolve = [&](const CrpqTerm& t) -> std::optional<NodeId> {
     return t.is_constant ? g.FindNode(t.name) : std::nullopt;
   };
-  std::optional<NodeId> from_const = resolve(atom.from);
   std::optional<NodeId> to_const = resolve(atom.to);
 
-  // Endpoint pairs of [[R]]_G, restricted by constants. The unconstrained
-  // case — one product BFS per source node, the dominant cost of atom
-  // seeding — is sharded across the pool.
-  std::vector<std::pair<NodeId, NodeId>> pairs;
-  if (from_const.has_value()) {
-    NodeId u = *from_const;
-    for (NodeId v : EvalRpqFrom(snap, nfa, u, options.cancel)) {
-      pairs.emplace_back(u, v);
-    }
-  } else {
-    ParallelRpqOptions seed;
-    seed.pool = options.pool;
-    seed.num_shards = options.num_shards;
-    seed.cancel = options.cancel;
-    pairs = EvalRpqParallel(snap, nfa, seed);
-  }
+  // Endpoint pairs of [[R]]_G, restricted by constants.
+  std::vector<std::pair<NodeId, NodeId>> pairs =
+      search.pairs(idx, resolve(atom.from));
   if (to_const.has_value()) {
     NodeId v = *to_const;
     std::erase_if(pairs, [v](const auto& p) { return p.second != v; });
@@ -87,8 +69,7 @@ Relation EvalAtom(const EdgeLabeledGraph& g, const GraphSnapshot& snap,
       continue;
     }
     EnumerationStats stats;
-    std::vector<PathBinding> bindings =
-        CollectModePaths(snap, nfa, u, v, atom.mode, limits, &stats);
+    std::vector<PathBinding> bindings = search.paths(idx, u, v, limits, &stats);
     if (stats.truncated) *truncated = true;
     if (stats.cancelled) break;
     // Distinct µ projections (several paths may induce the same µ).
@@ -118,40 +99,30 @@ Relation EvalAtom(const EdgeLabeledGraph& g, const GraphSnapshot& snap,
 
 }  // namespace
 
-Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
-                            const CrpqEvalOptions& options) {
-  if (options.snapshot == nullptr) {
+std::optional<Error> CheckConjunction(const Crpq& q,
+                                      const GraphSnapshot* snapshot,
+                                      const char* kind) {
+  if (snapshot == nullptr) {
     return Error(ErrorCode::kInvalidArgument,
-                 "CRPQ evaluation needs a graph snapshot");
+                 std::string(kind) + " evaluation needs a graph snapshot");
   }
-  const GraphSnapshot& snap = *options.snapshot;
   Result<bool> valid = q.Validate();
   if (!valid.ok()) return valid.error();
-  if (q.atoms.empty()) return Error("CRPQ has no atoms");
+  if (q.atoms.empty()) return Error(std::string(kind) + " has no atoms");
+  return std::nullopt;
+}
 
-  // Compile (or borrow from the plan) every atom's automaton up front.
-  std::vector<Nfa> local_nfas;
-  const std::vector<Nfa>* nfas = options.atom_nfas;
-  if (nfas == nullptr || nfas->size() != q.atoms.size()) {
-    local_nfas.reserve(q.atoms.size());
-    for (const CrpqAtom& atom : q.atoms) {
-      local_nfas.push_back(Nfa::FromRegex(*atom.regex, g));
-    }
-    nfas = &local_nfas;
-  }
-
+Result<CrpqResult> EvalConjunction(const EdgeLabeledGraph& g, const Crpq& q,
+                                   const CrpqEvalOptions& options,
+                                   const AtomSearch& search) {
   // Validate every atom before evaluating any, in textual order: which
   // error surfaces must not depend on the planner's join order or on an
   // early-out over an empty intermediate join.
   for (size_t i = 0; i < q.atoms.size(); ++i) {
-    const CrpqAtom& atom = q.atoms[i];
-    if ((*nfas)[i].HasInverse() &&
-        !atom.regex->CaptureVariables().empty()) {
-      return Error(
-          "two-way atoms (~a) cannot be combined with list variables: paths "
-          "are one-way (Remark 9)");
+    if (search.check) {
+      if (std::optional<Error> e = search.check(i)) return *e;
     }
-    for (const CrpqTerm* t : {&atom.from, &atom.to}) {
+    for (const CrpqTerm* t : {&q.atoms[i].from, &q.atoms[i].to}) {
       if (t->is_constant && !g.FindNode(t->name).has_value()) {
         return Error("unknown node constant '@" + t->name + "'");
       }
@@ -174,7 +145,7 @@ Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
   Relation joined;
   bool first = true;
   if (wcoj != nullptr) {
-    joined = crpq_internal::WcojRelation(snap, *wcoj, options.cancel);
+    joined = WcojRelation(*options.snapshot, *wcoj, options.cancel);
     first = false;
   }
   for (size_t step = 0; step < q.atoms.size(); ++step) {
@@ -186,7 +157,7 @@ Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
     }
     if (!first && joined.rows.empty()) break;  // conjunction is empty
     Relation rel =
-        EvalAtom(g, snap, q.atoms[idx], (*nfas)[idx], options, &truncated);
+        EvalAtom(g, idx, q.atoms[idx], options, search, &truncated);
     if (first) {
       joined = std::move(rel);
       first = false;
@@ -204,6 +175,62 @@ Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
                 options.use_batch);
   }
   return result;
+}
+
+}  // namespace crpq_internal
+
+Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
+                            const CrpqEvalOptions& options) {
+  if (std::optional<Error> e =
+          crpq_internal::CheckConjunction(q, options.snapshot, "CRPQ")) {
+    return *e;
+  }
+  const GraphSnapshot& snap = *options.snapshot;
+
+  // Compile (or borrow from the plan) every atom's automaton up front.
+  std::vector<Nfa> local_nfas;
+  const std::vector<Nfa>* nfas = options.atom_nfas;
+  if (nfas == nullptr || nfas->size() != q.atoms.size()) {
+    local_nfas.reserve(q.atoms.size());
+    for (const CrpqAtom& atom : q.atoms) {
+      local_nfas.push_back(Nfa::FromRegex(*atom.regex, g));
+    }
+    nfas = &local_nfas;
+  }
+
+  crpq_internal::AtomSearch search;
+  search.check = [&](size_t i) -> std::optional<Error> {
+    if ((*nfas)[i].HasInverse() &&
+        !q.atoms[i].regex->CaptureVariables().empty()) {
+      return Error(
+          "two-way atoms (~a) cannot be combined with list variables: paths "
+          "are one-way (Remark 9)");
+    }
+    return std::nullopt;
+  };
+  // The unconstrained case, one product BFS per source node and the
+  // dominant cost of atom seeding, is sharded across the pool.
+  search.pairs = [&](size_t i, std::optional<NodeId> from) {
+    std::vector<std::pair<NodeId, NodeId>> pairs;
+    if (from.has_value()) {
+      for (NodeId v : EvalRpqFrom(snap, (*nfas)[i], *from, options.cancel)) {
+        pairs.emplace_back(*from, v);
+      }
+      return pairs;
+    }
+    ParallelRpqOptions seed;
+    seed.pool = options.pool;
+    seed.num_shards = options.num_shards;
+    seed.cancel = options.cancel;
+    return EvalRpqParallel(snap, (*nfas)[i], seed);
+  };
+  search.paths = [&](size_t i, NodeId u, NodeId v,
+                     const EnumerationLimits& limits,
+                     EnumerationStats* stats) {
+    return CollectModePaths(snap, (*nfas)[i], u, v, q.atoms[i].mode, limits,
+                            stats);
+  };
+  return crpq_internal::EvalConjunction(g, q, options, search);
 }
 
 }  // namespace gqzoo

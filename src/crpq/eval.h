@@ -1,6 +1,9 @@
 #ifndef GQZOO_CRPQ_EVAL_H_
 #define GQZOO_CRPQ_EVAL_H_
 
+#include <functional>
+#include <optional>
+#include <utility>
 #include <vector>
 
 #include "src/automata/nfa.h"
@@ -65,6 +68,44 @@ struct CrpqEvalOptions {
 /// `mode(σ_{u,v}([[R]]_G))` — the endpoint-pair grouping of Example 17.
 Result<CrpqResult> EvalCrpq(const EdgeLabeledGraph& g, const Crpq& q,
                             const CrpqEvalOptions& options);
+
+namespace crpq_internal {
+
+/// What distinguishes one CRPQ flavour (plain l-CRPQs, dl-CRPQs) from
+/// another: how an atom's endpoint pairs are produced and how its paths
+/// are enumerated. Everything else, validation of constants, the atom
+/// relations, the join loop and projection, is `EvalConjunction`.
+struct AtomSearch {
+  /// Extra per-atom validation, run in textual order before the constant
+  /// check of the same atom; may be empty.
+  std::function<std::optional<Error>(size_t atom)> check;
+  /// The endpoint pairs of atom `atom`'s [[R]]_G, only from `from` when
+  /// the start term is a constant.
+  std::function<std::vector<std::pair<NodeId, NodeId>>(
+      size_t atom, std::optional<NodeId> from)>
+      pairs;
+  /// mode(σ_{u,v}([[R]]_G)) for an atom with list variables.
+  std::function<std::vector<PathBinding>(
+      size_t atom, NodeId u, NodeId v, const EnumerationLimits& limits,
+      EnumerationStats* stats)>
+      paths;
+};
+
+/// Checks the query shape every flavour requires; `kind` names the
+/// flavour in the messages ("CRPQ", "dl-CRPQ").
+std::optional<Error> CheckConjunction(const Crpq& q,
+                                      const GraphSnapshot* snapshot,
+                                      const char* kind);
+
+/// Evaluates the conjunction: validates each atom, builds each atom's
+/// relation in plan order (skipping a wcoj core), joins, and projects the
+/// head. Reads `options`' limits, governance, order, wcoj group and batch
+/// switch; the flavour-specific fields are the caller's.
+Result<CrpqResult> EvalConjunction(const EdgeLabeledGraph& g, const Crpq& q,
+                                   const CrpqEvalOptions& options,
+                                   const AtomSearch& search);
+
+}  // namespace crpq_internal
 
 }  // namespace gqzoo
 

@@ -17,14 +17,13 @@ namespace gqzoo {
 ///    the limits);
 ///  * kShortest — DFS over the shortest-restricted PMR (finite; Example
 ///    17's grouping-by-endpoint-pair semantics since the PMR is per-pair);
-///  * kSimple / kTrail — backtracking search over graph × NFA carrying the
-///    set of used nodes/edges (worst-case exponential; the NP-hardness of
-///    Section 6.3 lives here).
-/// The PMR modes build their product graph from the snapshot's per-label
-/// edge lists, and the simple/trail search expands each NFA transition
-/// over exactly its label slice. Results are deduplicated (set semantics);
-/// a `max_results` truncation keeps an arbitrary (but deterministic)
-/// subset.
+///  * kSimple / kTrail — the DFS of the product-search kernel
+///    (automata/product_search.h) over graph × NFA, carrying the set of
+///    used nodes/edges (worst-case exponential; the NP-hardness of Section
+///    6.3 lives here).
+/// Both expand each NFA transition over exactly its label slice. Results
+/// are deduplicated (set semantics); a `max_results` truncation keeps the
+/// first results in visit order (PMR arc order, or the DFS's).
 std::vector<PathBinding> CollectModePaths(const GraphSnapshot& s,
                                           const Nfa& nfa, NodeId u, NodeId v,
                                           PathMode mode,

@@ -26,7 +26,10 @@ namespace gqzoo {
 /// The configuration space is finite (valuations only hold values copied
 /// from the graph), so pair reachability is decidable in polynomial time
 /// for a fixed number of data variables — matching the NLOGSPACE data
-/// complexity of [Libkin, Martens, Vrgoč 2016].
+/// complexity of [Libkin, Martens, Vrgoč 2016]. Configurations are the dl
+/// step of the product-search kernel (automata/product_search.h): the
+/// reachability and shortest-length queries run its 0/1 BFS, where an edge
+/// append costs 1 and any other step 0, and path enumeration its DFS.
 class DlEvaluator {
  public:
   /// `snapshot` (not owned, non-null, over the same graph) routes
@@ -48,9 +51,8 @@ class DlEvaluator {
   std::vector<std::pair<NodeId, NodeId>> AllPairs(
       const CancellationToken* cancel = nullptr) const;
 
-  /// Enumerates `mode(σ_{u,v}([[R]]_G))`, deduplicated. `shortest` is
-  /// computed by first finding the optimal length via 0/1-weighted BFS on
-  /// configurations (edge appends cost 1), then enumerating at that depth.
+  /// Enumerates `mode(σ_{u,v}([[R]]_G))`, deduplicated. `shortest` first
+  /// finds the optimal length (ShortestLength), then enumerates at it.
   std::vector<PathBinding> CollectModePaths(NodeId u, NodeId v, PathMode mode,
                                             const EnumerationLimits& limits,
                                             EnumerationStats* stats = nullptr) const;
@@ -67,7 +69,9 @@ class DlEvaluator {
 };
 
 /// Evaluates a dl-CRPQ (Section 3.2.2): the Crpq structure with dl-dialect
-/// regexes, over a property graph. Semantics and options mirror EvalCrpq.
+/// regexes, over a property graph. Semantics and options mirror EvalCrpq,
+/// whose atom relations and join loop it shares; only the pair search and
+/// path enumeration are DlEvaluator's.
 struct DlCrpqEvalOptions {
   size_t max_bindings_per_pair = 100000;
   size_t max_path_length = 1000;

@@ -9,11 +9,7 @@ namespace gqzoo {
 bool DlAtom::Matches(const PropertyGraph& g, ObjectRef o, const Valuation& nu,
                      Valuation* nu_out) const {
   if ((target == Atom::Target::kNode) != o.is_node()) return false;
-  if (!is_test) {
-    if (!pred.Matches(g.ObjectLabel(o))) return false;
-    *nu_out = nu;
-    return true;
-  }
+  if (!is_test) return pred.Matches(g.ObjectLabel(o));
   if (property == kInvalidId) return false;
   std::optional<Value> value = g.GetProperty(o, property);
   if (!value.has_value()) return false;
@@ -23,15 +19,10 @@ bool DlAtom::Matches(const PropertyGraph& g, ObjectRef o, const Valuation& nu,
       (*nu_out)[data_var] = std::move(*value);
       return true;
     case ElementTest::Kind::kCompareConst:
-      if (!Value::Compare(*value, op, constant)) return false;
-      *nu_out = nu;
-      return true;
+      return Value::Compare(*value, op, constant);
     case ElementTest::Kind::kCompareVar: {
       const std::optional<Value>& bound = nu[data_var];
-      if (!bound.has_value()) return false;
-      if (!Value::Compare(*value, op, *bound)) return false;
-      *nu_out = nu;
-      return true;
+      return bound.has_value() && Value::Compare(*value, op, *bound);
     }
   }
   return false;

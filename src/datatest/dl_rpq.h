@@ -32,9 +32,10 @@ struct DlAtom {
   CompareOp op = CompareOp::kEq;
   Value constant;
 
-  /// Does this atom match object `o` under valuation `nu`? On success,
-  /// writes the successor valuation to `*nu_out` (a copy of `nu` with any
-  /// `x := pname` effect applied; `nu_out` must not alias `nu`).
+  /// Does this atom match object `o` under valuation `nu`? Only an
+  /// assignment `x := pname` changes the valuation: on its success the
+  /// successor (a copy of `nu` with the effect applied) is written to
+  /// `*nu_out`, which must not alias `nu`; other atoms leave it untouched.
   /// Undefined property values make tests fail, and an assignment
   /// from an undefined property does not match (ρ is partial; Remark 19
   /// uses ν only for filtering, so refusing the match is the conservative

@@ -1,12 +1,17 @@
 #ifndef GQZOO_GRAPH_PATH_BINDING_H_
 #define GQZOO_GRAPH_PATH_BINDING_H_
 
+#include <cstdint>
 #include <map>
 #include <string>
 
 #include "src/graph/path.h"
+#include "src/util/cancellation.h"
 
 namespace gqzoo {
+
+/// Path modes of Section 3.1.5 (and GQL/SQL-PGQ).
+enum class PathMode { kAll, kShortest, kSimple, kTrail };
 
 /// A binding µ mapping list variables to lists of graph objects
 /// (Section 3.1.4). Only variables with non-empty lists are stored; absent
@@ -76,6 +81,29 @@ inline uint64_t ApproxBytes(const PathBinding& pb) {
   }
   return bytes;
 }
+
+/// Bounds for enumerating a (possibly infinite) set of path bindings: the
+/// PMR enumerators (pmr/enumerate.h) and the product-search DFS
+/// (automata/product_search.h).
+struct EnumerationLimits {
+  /// Stop after this many results.
+  size_t max_results = SIZE_MAX;
+  /// Skip (and stop extending) walks longer than this many edges.
+  size_t max_length = SIZE_MAX;
+  /// Optional cooperative governance (deadline, cancel, resource budgets);
+  /// enumeration stops — and reports `cancelled` — as soon as the context
+  /// trips. Emitted bindings are charged against the row and memory
+  /// budgets; the ordered enumerator also charges its frontier. Not owned.
+  const CancellationToken* cancel = nullptr;
+};
+
+/// Outcome of an enumeration: whether the limits cut it short.
+struct EnumerationStats {
+  size_t emitted = 0;
+  bool truncated = false;
+  /// The cancellation token tripped mid-enumeration; results are partial.
+  bool cancelled = false;
+};
 
 }  // namespace gqzoo
 

@@ -17,12 +17,11 @@ namespace gqzoo {
 /// result also represents the l-RPQ bindings.
 ///
 /// When `sources` (`targets`) is empty, all graph nodes qualify. The
-/// product `G × N_R` (Section 6.2) is never materialized: a forward BFS
-/// from the sources `(u, q0)` expands each reached state `(v, q)` by
-/// `nfa.Out(q)` × `GraphSnapshot::ForEachMatch`, exactly like the lazy
-/// BFS of rpq_eval, and only reached states become PMR nodes. `Trim()`
-/// then keeps the part co-reachable to the accepting copies of the
-/// targets.
+/// product `G × N_R` (Section 6.2) is never materialized: the BFS of the
+/// product-search kernel (automata/product_search.h) runs from the sources
+/// `(u, q0)` over the plain step, and only reached states become PMR
+/// nodes, numbered in discovery order. `Trim()` then keeps the part
+/// co-reachable to the accepting copies of the targets.
 ///
 /// Sources keep the order given (node-id order when `sources` is empty),
 /// and every node's out-arcs are in edge-major order (edge ids ascending,
@@ -30,9 +29,10 @@ namespace gqzoo {
 /// depend only on those two orders, so the prefix a truncated enumeration
 /// keeps does not depend on how the product was explored.
 ///
-/// Reached states and arcs are charged to `cancel` while the build runs,
-/// and each dequeued state probes it; once it trips the result is an empty
-/// PMR and the caller reads the stop cause from the context.
+/// The search charges its visited set and queue, and the build its PMR
+/// nodes and arcs, to `cancel` while it runs; each dequeued state probes
+/// it. Once it trips the result is an empty PMR and the caller reads the
+/// stop cause from the context.
 Pmr BuildPmr(const GraphSnapshot& s, const Nfa& nfa,
              const std::vector<NodeId>& sources,
              const std::vector<NodeId>& targets,

@@ -11,27 +11,6 @@
 
 namespace gqzoo {
 
-/// Bounds for enumerating the (possibly infinite) SPaths of a PMR.
-struct EnumerationLimits {
-  /// Stop after this many results.
-  size_t max_results = SIZE_MAX;
-  /// Skip (and stop extending) PMR walks longer than this many edges.
-  size_t max_length = SIZE_MAX;
-  /// Optional cooperative governance (deadline, cancel, resource budgets);
-  /// enumeration stops — and reports `cancelled` — as soon as the context
-  /// trips. Emitted bindings are charged against the row and memory
-  /// budgets; the ordered enumerator also charges its frontier. Not owned.
-  const CancellationToken* cancel = nullptr;
-};
-
-/// Outcome of an enumeration: whether the limits cut it short.
-struct EnumerationStats {
-  size_t emitted = 0;
-  bool truncated = false;
-  /// The cancellation token tripped mid-enumeration; results are partial.
-  bool cancelled = false;
-};
-
 /// Enumerates SPaths(pmr) together with their capture bindings, by DFS over
 /// the trimmed PMR (call `Trim()` first for the output-linear-delay
 /// guarantee; on a trimmed PMR every DFS step lies on some S→T walk).

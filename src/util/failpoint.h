@@ -20,13 +20,15 @@ namespace gqzoo {
 /// so production code pays essentially nothing for carrying the hooks.
 ///
 /// Named sites in this codebase (grep for `Failpoint::ShouldFail`):
-///   "rpq.product.bfs"     product-graph BFS setup    → memory exhaustion
+///   "rpq.product.bfs"     product-search BFS setup   → memory exhaustion
+///                         (RPQ and dl reachability, PMR build)
 ///   "crpq.join.alloc"     join output-tuple alloc    → memory exhaustion
 ///   "crpq.wcoj.alloc"     wcoj result-tuple alloc    → memory exhaustion
 ///                         (crpq, dl-crpq, and coregql wcoj groups)
 ///   "coregql.frontier"    group-repeat frontier round → memory exhaustion
 ///   "pmr.enumerate.emit"  path-binding emission      → cancellation
-///   "datatest.recurse"    dl-RPQ configuration step  → step-budget trip
+///   "datatest.recurse"    product-search DFS step    → step-budget trip
+///                         (dl paths, plain trail/simple paths)
 ///   "engine.submit"       engine admission           → forced shed
 ///   "engine.apply_mutation" write-batch admission    → forced write shed
 ///

@@ -9,6 +9,7 @@
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
+#include "src/regex/parser.h"
 #include "tests/test_util.h"
 
 namespace gqzoo {
@@ -85,6 +86,48 @@ TEST(CorePatternParserTest, Errors) {
   EXPECT_FALSE(ParseCorePattern("(x) WHERE x.k < 1").ok());  // WHERE not in group
   EXPECT_FALSE(ParseCorePattern("( (x)->(y) WHERE )").ok());
   EXPECT_FALSE(ParseCorePattern("(x){2,1}").ok());
+}
+
+// `levels` nested pattern levels: the top pattern and `levels - 1` groups
+// around one node atom.
+std::string NestedPattern(size_t levels) {
+  return std::string(levels - 1, '(') + "(x)" + std::string(levels - 1, ')');
+}
+
+// A condition `levels` deep: the condition itself and `levels - 1` NOTs.
+std::string NestedNot(size_t levels) {
+  std::string out;
+  for (size_t i = 1; i < levels; ++i) out += "NOT ";
+  return out + "x.k = 1";
+}
+
+TEST(CorePatternDepthTest, AtTheLimitParses) {
+  Result<CorePatternPtr> p = ParseCorePattern(NestedPattern(kMaxRegexDepth));
+  ASSERT_TRUE(p.ok()) << p.error().message();
+  EXPECT_EQ(p.value()->kind(), CorePattern::Kind::kNode);
+  Result<CoreCondPtr> c = ParseCoreCondition(NestedNot(kMaxRegexDepth));
+  ASSERT_TRUE(c.ok()) << c.error().message();
+  EXPECT_EQ(c.value()->kind(), CoreCondition::Kind::kNot);
+}
+
+TEST(CorePatternDepthTest, OnePastTheLimitIsAParseError) {
+  for (size_t levels : {kMaxRegexDepth + 1, size_t{100000}}) {
+    Result<CorePatternPtr> p = ParseCorePattern(NestedPattern(levels));
+    ASSERT_FALSE(p.ok()) << levels;
+    EXPECT_NE(p.error().message().find("deeper than"), std::string::npos)
+        << p.error().message();
+    Result<CoreCondPtr> c = ParseCoreCondition(NestedNot(levels));
+    ASSERT_FALSE(c.ok()) << levels;
+    EXPECT_NE(c.error().message().find("deeper than"), std::string::npos)
+        << c.error().message();
+  }
+  // Parenthesized conditions nest too, also inside a pattern's WHERE.
+  Result<CoreCondPtr> parens = ParseCoreCondition(
+      std::string(100000, '(') + "x.k = 1" + std::string(100000, ')'));
+  EXPECT_FALSE(parens.ok());
+  Result<CorePatternPtr> where = ParseCorePattern(
+      "( (x) WHERE " + NestedNot(kMaxRegexDepth) + " )");
+  EXPECT_FALSE(where.ok());
 }
 
 TEST(CorePatternEvalTest, NodeEdgeAndLabels) {

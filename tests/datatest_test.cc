@@ -7,13 +7,17 @@
 #include "src/datatest/dl_eval.h"
 #include "src/datatest/dl_rpq.h"
 #include "src/graph/builtin_graphs.h"
+#include "src/fuzz/reference.h"
 #include "src/graph/generators.h"
+#include "src/graph/graph_io.h"
+#include "src/rpq/rpq_eval.h"
 #include "tests/test_util.h"
 
 namespace gqzoo {
 namespace {
 
 using testing_util::DlRx;
+using testing_util::Rx;
 using testing_util::SnapshotEvalDlCrpq;
 
 // ---------------------------------------------------------------------------
@@ -375,6 +379,53 @@ TEST_F(DlBasicTest, CollapseCaptureLoopTruncates) {
   EXPECT_EQ(r[0].path.ToString(g_.skeleton()), "path(t9)");
 }
 
+std::vector<std::string> PathStrings(const PropertyGraph& g,
+                                     const std::vector<PathBinding>& r) {
+  std::vector<std::string> out;
+  for (const PathBinding& pb : r) out.push_back(pb.path.ToString(g.skeleton()));
+  return out;
+}
+
+TEST(DlTruncatedPathsTest, AllAndShortestKeepTheirVisitOrderPrefix) {
+  // A `max_results` cut keeps the first bindings the DFS visits. The loop
+  // transition of `( ()[Transfer] )+` comes before the final `()`, so the
+  // search goes deep before it emits the short paths.
+  EnumerationLimits limits;
+  limits.max_results = 3;
+  limits.max_length = 8;
+  EnumerationStats stats;
+  {
+    PropertyGraph g = Figure3Graph();
+    GraphSnapshot snapshot(g);
+    DlNfa nfa = DlNfa::FromRegex(*DlRx("( ()[Transfer] )+ ()"), g);
+    std::vector<PathBinding> all =
+        DlEvaluator(g, nfa, &snapshot)
+            .CollectModePaths(*g.FindNode("a3"), *g.FindNode("a4"),
+                              PathMode::kAll, limits, &stats);
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_EQ(PathStrings(g, all),
+              (std::vector<std::string>{
+                  "path(a3, t2, a2, t3, a4, t9, a6, t8, a3, t2, a2, t3, a4)",
+                  "path(a3, t2, a2, t3, a4, t9, a6, t8, a3, t5, a2, t3, a4)",
+                  "path(a3, t2, a2, t3, a4, t9, a6, t8, a3, t6, a4, t9, a6, "
+                  "t8, a3, t6, a4)"}));
+  }
+  {
+    // Eight shortest s→t paths of length 3; the first three in edge order.
+    PropertyGraph g = ToPropertyGraph(ParallelChain(3));
+    GraphSnapshot snapshot(g);
+    DlNfa nfa = DlNfa::FromRegex(*DlRx("(()[a])+()"), g);
+    std::vector<PathBinding> shortest =
+        DlEvaluator(g, nfa, &snapshot)
+            .CollectModePaths(0, 3, PathMode::kShortest, limits, &stats);
+    EXPECT_TRUE(stats.truncated);
+    EXPECT_EQ(PathStrings(g, shortest),
+              (std::vector<std::string>{"path(s, e0, v1, e2, v2, e4, t)",
+                                        "path(s, e0, v1, e2, v2, e5, t)",
+                                        "path(s, e0, v1, e3, v2, e4, t)"}));
+  }
+}
+
 // ---------------------------------------------------------------------------
 // Property tests against the oracle.
 // ---------------------------------------------------------------------------
@@ -394,6 +445,10 @@ void PrintTo(const DlOracleCase& c, std::ostream* os) {
 class DlOracleTest : public ::testing::TestWithParam<DlOracleCase> {};
 
 TEST_P(DlOracleTest, EvaluatorMatchesDerivationSemantics) {
+  // The oracle's `all` set is complete up to max_len, so each mode's
+  // definition (fuzz::ApplyMode) filters it into that mode's answer, as
+  // ModeAgreementTest does for plain automata. A shortest witness longer
+  // than max_len is cut by the cap on both sides.
   PropertyGraph g = RandomPropertyGraph(5, 8, 3, GetParam().seed);
   RegexPtr r = DlRx(GetParam().regex);
   DlNfa nfa = DlNfa::FromRegex(*r, g);
@@ -404,11 +459,15 @@ TEST_P(DlOracleTest, EvaluatorMatchesDerivationSemantics) {
   limits.max_length = max_len;
   for (NodeId u = 0; u < g.NumNodes(); ++u) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
-      std::vector<PathBinding> got =
-          evaluator.CollectModePaths(u, v, PathMode::kAll, limits);
-      std::vector<PathBinding> expected = OracleEval(g, *r, u, v, max_len);
-      EXPECT_EQ(got, expected)
-          << GetParam().regex << " " << u << "->" << v;
+      std::vector<PathBinding> all = OracleEval(g, *r, u, v, max_len);
+      for (PathMode mode : {PathMode::kAll, PathMode::kTrail,
+                            PathMode::kSimple, PathMode::kShortest}) {
+        std::vector<PathBinding> got =
+            evaluator.CollectModePaths(u, v, mode, limits);
+        EXPECT_EQ(got, fuzz::ApplyMode(mode, all))
+            << GetParam().regex << " mode=" << PathModeName(mode) << " " << u
+            << "->" << v;
+      }
     }
   }
 }
@@ -423,6 +482,22 @@ INSTANTIATE_TEST_SUITE_P(
         DlOracleCase{58, "()[x := k]( (_)[k > x][x := k] )*()"},
         DlOracleCase{59, "((N) | [a])( [_] | (_) )"},
         DlOracleCase{60, "[a^z](_)[a^w]"}));
+
+TEST(DlPlainAgreementTest, LabelOnlyRegexReachesThePlainEndpoints) {
+  // Per Section 3.2.1 a dl-RPQ without tests or registers is a plain RPQ:
+  // `(()[a])+()` and `a+` reach the same nodes.
+  for (uint64_t seed : {71, 72, 73, 74, 75}) {
+    PropertyGraph g = ToPropertyGraph(RandomGraph(12, 30, 2, seed));
+    GraphSnapshot snapshot(g);
+    Nfa plain = Nfa::FromRegex(*Rx("a+"), g.skeleton());
+    DlNfa dl = DlNfa::FromRegex(*DlRx("(()[a])+()"), g);
+    DlEvaluator evaluator(g, dl, &snapshot);
+    for (NodeId u = 0; u < g.NumNodes(); ++u) {
+      EXPECT_EQ(evaluator.ReachableFrom(u), EvalRpqFrom(snapshot, plain, u))
+          << "seed " << seed << " from " << u;
+    }
+  }
+}
 
 // ---------------------------------------------------------------------------
 // dl-CRPQs (Section 3.2.2).

@@ -9,6 +9,7 @@
 
 #include "src/crpq/modes.h"
 #include "src/fuzz/reference.h"
+#include "src/graph/builtin_graphs.h"
 #include "src/graph/generators.h"
 #include "src/util/biguint.h"
 #include "tests/test_util.h"
@@ -75,6 +76,43 @@ INSTANTIATE_TEST_SUITE_P(
                       ModeCase{85, "(a^z b)* a?"}, ModeCase{86, "_+"},
                       ModeCase{87, "(a b^z|b a^z)*"},
                       ModeCase{88, "a{1,3}"}));
+
+std::vector<std::string> PathStrings(const EdgeLabeledGraph& g,
+                                     const std::vector<PathBinding>& r) {
+  std::vector<std::string> out;
+  for (const PathBinding& pb : r) out.push_back(pb.path.ToString(g));
+  return out;
+}
+
+TEST(TruncatedModePathsTest, TrailAndSimpleKeepTheirVisitOrderPrefix) {
+  // A `max_results` cut keeps the first paths the search visits
+  // (transition order, then each label slice's edge order), not the
+  // smallest ones: these prefixes are part of the output contract.
+  PropertyGraph g = Figure3Graph();
+  GraphSnapshot snap(g);
+  Nfa nfa = Nfa::FromRegex(*Rx("Transfer+"), g.skeleton());
+  EnumerationLimits limits;
+  limits.max_results = 3;
+  EnumerationStats stats;
+  std::vector<PathBinding> trails =
+      CollectModePaths(snap, nfa, *g.FindNode("a3"), *g.FindNode("a4"),
+                       PathMode::kTrail, limits, &stats);
+  EXPECT_TRUE(stats.truncated);
+  EXPECT_EQ(PathStrings(g.skeleton(), trails),
+            (std::vector<std::string>{
+                "path(a3, t2, a2, t3, a4)",
+                "path(a3, t2, a2, t3, a4, t9, a6, t8, a3, t6, a4)",
+                "path(a3, t2, a2, t3, a4, t9, a6, t8, a3, t7, a5, t4, a1, t1, "
+                "a3, t6, a4)"}));
+  std::vector<PathBinding> simple =
+      CollectModePaths(snap, nfa, *g.FindNode("a6"), *g.FindNode("a4"),
+                       PathMode::kSimple, limits, &stats);
+  EXPECT_TRUE(stats.truncated);
+  EXPECT_EQ(PathStrings(g.skeleton(), simple),
+            (std::vector<std::string>{"path(a6, t8, a3, t2, a2, t3, a4)",
+                                      "path(a6, t8, a3, t5, a2, t3, a4)",
+                                      "path(a6, t8, a3, t6, a4)"}));
+}
 
 TEST(ApplyModeTest, ShortestKeepsAllMinimal) {
   EdgeLabeledGraph g = ParallelChain(2);  // 4 shortest paths of length 2

@@ -369,6 +369,30 @@ TEST(ServerTest, RegexDepthLimitHoldsOverTheWire) {
   EXPECT_EQ(deep.value().code, ErrorCode::kParse) << deep.value().message;
 }
 
+TEST(ServerTest, PatternDepthLimitHoldsOverTheWire) {
+  // 100000 nested groups used to overflow the CoreGQL parser's stack and
+  // take the server down; now the request fails and the server answers
+  // the next one.
+  QueryEngine engine(Figure3Graph());
+  GraphServer server(&engine, ServerOptions{});
+  ASSERT_TRUE(server.Start().ok());
+  Client client = ConnectTo(server);
+  ASSERT_TRUE(client.Hello("tenant-a").ok());
+
+  ClientQueryOptions options;
+  options.language = "gqlgroup";
+  const std::string deep =
+      std::string(100000, '(') + "(x)" + std::string(100000, ')');
+  Result<DoneStatus> done = client.Query(deep, options);
+  ASSERT_TRUE(done.ok());
+  EXPECT_FALSE(done.value().ok);
+  EXPECT_EQ(done.value().code, ErrorCode::kParse) << done.value().message;
+
+  Result<DoneStatus> next = client.Query("(x:Account)", options);
+  ASSERT_TRUE(next.ok());
+  EXPECT_TRUE(next.value().ok) << next.value().message;
+}
+
 }  // namespace
 }  // namespace server
 }  // namespace gqzoo
