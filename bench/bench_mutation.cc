@@ -52,8 +52,8 @@ QueryRequest ReadReq() {
 
 /// Bulk `a` edges plus a sparse `b` label (1/1024 of the edges): mutating
 /// and reading `b` is the realistic small-write shape — the stats patch
-/// and plan invalidation stay scoped to the rare label while the bulk of
-/// the graph rides along untouched. Objects carry Figure 3-shaped property
+/// stays scoped to the rare label while the bulk of the graph rides along
+/// untouched. Objects carry Figure 3-shaped property
 /// payloads (owner/flag on nodes, amount/date on edges): the overlay
 /// borrows all of it from the base, while the rebuild path clones it.
 PropertyGraph BenchGraph() {

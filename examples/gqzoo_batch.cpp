@@ -465,7 +465,7 @@ int main(int argc, char** argv) {
   std::vector<std::future<Result<QueryResponse>>> futures;
   std::vector<const QueryRequest*> submitted;  // parallel to `futures`
   size_t mut_ok = 0, mut_failed = 0, mut_shed = 0;
-  size_t plans_invalidated = 0, compactions_scheduled = 0;
+  size_t compactions_scheduled = 0;
   for (size_t round = 0; round < repeat; ++round) {
     for (const BatchLine& entry : lines) {
       if (!entry.is_mutation) {
@@ -478,7 +478,6 @@ int main(int argc, char** argv) {
       Result<QueryEngine::MutationResult> r = engine.ApplyMutation(batch);
       if (r.ok()) {
         ++mut_ok;
-        plans_invalidated += r.value().plans_invalidated;
         compactions_scheduled += r.value().compaction_scheduled ? 1 : 0;
       } else {
         ++mut_failed;
@@ -548,9 +547,9 @@ int main(int argc, char** argv) {
          engine.num_threads());
   if (mut_ok + mut_failed > 0) {
     printf("%zu writes (%zu ok, %zu failed, %zu shed); "
-           "%zu plans invalidated, %zu compactions scheduled\n",
+           "%zu compactions scheduled\n",
            mut_ok + mut_failed, mut_ok, mut_failed, mut_shed,
-           plans_invalidated, compactions_scheduled);
+           compactions_scheduled);
   }
   printf("\n%s", engine.StatsReport().c_str());
 

@@ -240,9 +240,8 @@ class Shell {
              r.error().message().c_str());
       return;
     }
-    printf("ok (%llu ops pending%s%s)\n",
+    printf("ok (%llu ops pending%s)\n",
            static_cast<unsigned long long>(r.value().pending_ops),
-           r.value().plans_invalidated > 0 ? ", plans invalidated" : "",
            r.value().compaction_scheduled ? ", compaction scheduled" : "");
   }
 

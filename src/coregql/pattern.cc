@@ -56,6 +56,7 @@ CoreCondPtr CoreCondition::LabelIs(std::string x, std::string label) {
 CoreCondPtr CoreCondition::And(CoreCondPtr a, CoreCondPtr b) {
   GQZOO_MUTABLE_COND(c);
   c->kind_ = Kind::kAnd;
+  c->depth_ = std::max(a->depth_, b->depth_) + 1;
   c->children_ = {std::move(a), std::move(b)};
   return c;
 }
@@ -63,6 +64,7 @@ CoreCondPtr CoreCondition::And(CoreCondPtr a, CoreCondPtr b) {
 CoreCondPtr CoreCondition::Or(CoreCondPtr a, CoreCondPtr b) {
   GQZOO_MUTABLE_COND(c);
   c->kind_ = Kind::kOr;
+  c->depth_ = std::max(a->depth_, b->depth_) + 1;
   c->children_ = {std::move(a), std::move(b)};
   return c;
 }
@@ -70,6 +72,7 @@ CoreCondPtr CoreCondition::Or(CoreCondPtr a, CoreCondPtr b) {
 CoreCondPtr CoreCondition::Not(CoreCondPtr a) {
   GQZOO_MUTABLE_COND(c);
   c->kind_ = Kind::kNot;
+  c->depth_ = a->depth_ + 1;
   c->children_ = {std::move(a)};
   return c;
 }
@@ -119,6 +122,7 @@ CorePatternPtr CorePattern::Edge(std::optional<std::string> var,
 CorePatternPtr CorePattern::Concat(CorePatternPtr a, CorePatternPtr b) {
   GQZOO_MUTABLE_PATTERN(p);
   p->kind_ = Kind::kConcat;
+  p->depth_ = std::max(a->depth_, b->depth_) + 1;
   p->children_ = {std::move(a), std::move(b)};
   return p;
 }
@@ -126,6 +130,7 @@ CorePatternPtr CorePattern::Concat(CorePatternPtr a, CorePatternPtr b) {
 CorePatternPtr CorePattern::Union(CorePatternPtr a, CorePatternPtr b) {
   GQZOO_MUTABLE_PATTERN(p);
   p->kind_ = Kind::kUnion;
+  p->depth_ = std::max(a->depth_, b->depth_) + 1;
   p->children_ = {std::move(a), std::move(b)};
   return p;
 }
@@ -136,6 +141,7 @@ CorePatternPtr CorePattern::Repeat(CorePatternPtr inner, size_t lo,
   p->kind_ = Kind::kRepeat;
   p->lo_ = lo;
   p->hi_ = hi;
+  p->depth_ = inner->depth_ + 1;
   p->children_ = {std::move(inner)};
   return p;
 }
@@ -143,6 +149,7 @@ CorePatternPtr CorePattern::Repeat(CorePatternPtr inner, size_t lo,
 CorePatternPtr CorePattern::Where(CorePatternPtr inner, CoreCondPtr cond) {
   GQZOO_MUTABLE_PATTERN(p);
   p->kind_ = Kind::kCondition;
+  p->depth_ = std::max(inner->depth_, cond->depth()) + 1;
   p->cond_ = std::move(cond);
   p->children_ = {std::move(inner)};
   return p;

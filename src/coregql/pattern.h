@@ -52,6 +52,11 @@ class CoreCondition {
   const CoreCondPtr& right() const { return children_[1]; }
   const CoreCondPtr& child() const { return children_[0]; }
 
+  /// Height of the condition tree: 1 for a comparison or label test.
+  /// Every recursive pass over the condition, destruction included, nests
+  /// this deep.
+  size_t depth() const { return depth_; }
+
   std::string ToString() const;
 
  protected:
@@ -64,6 +69,7 @@ class CoreCondition {
   Value constant_;
   std::string label_;
   std::vector<CoreCondPtr> children_;
+  size_t depth_ = 1;
 };
 
 class CorePattern;
@@ -108,6 +114,11 @@ class CorePattern {
   const CorePatternPtr& right() const { return children_[1]; }
   const CorePatternPtr& child() const { return children_[0]; }
 
+  /// Height of the pattern tree, counting the condition of a `WHERE` node
+  /// as a subtree: 1 for an atom. Every recursive pass over the pattern,
+  /// destruction included, nests this deep.
+  size_t depth() const { return depth_; }
+
   /// Free variables per Section 4.1.1: repetition erases them, the arms of
   /// a disjunction must agree (checked by Validate).
   std::vector<std::string> FreeVariables() const;
@@ -130,6 +141,7 @@ class CorePattern {
   size_t lo_ = 0, hi_ = 0;
   CoreCondPtr cond_;
   std::vector<CorePatternPtr> children_;
+  size_t depth_ = 1;
 };
 
 }  // namespace gqzoo

@@ -51,6 +51,7 @@ class Parser {
       Result<CorePatternPtr> rhs = ParseSeq();
       if (!rhs.ok()) return rhs;
       result = CorePattern::Union(std::move(result), std::move(rhs).value());
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -67,6 +68,7 @@ class Parser {
       Result<CoreCondPtr> rhs = ParseCondAnd();
       if (!rhs.ok()) return rhs;
       result = CoreCondition::Or(std::move(result), std::move(rhs).value());
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -85,8 +87,11 @@ class Parser {
   }
 
   // Every recursive level (a pattern or condition, a group, a NOT) nests
-  // one deeper, and the parser refuses past the regex parser's bound, so
-  // a request cannot exhaust the stack.
+  // one deeper, and the parser refuses past the regex parser's bound. A
+  // flat chain (`->` steps, postfix repeats, AND/OR operands) deepens the
+  // tree without recursing here, so each operator also checks the depth
+  // of the tree it built. Either way a request cannot exhaust the stack of
+  // the passes that later recurse over the tree.
   struct Nest {
     explicit Nest(size_t* n) : n_(n) { ++*n_; }
     ~Nest() { --*n_; }
@@ -111,6 +116,7 @@ class Parser {
       Result<CorePatternPtr> next = ParseFactor();
       if (!next.ok()) return next;
       result = CorePattern::Concat(std::move(result), std::move(next).value());
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -157,6 +163,7 @@ class Parser {
       } else {
         break;
       }
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -190,6 +197,7 @@ class Parser {
       Result<CoreCondPtr> cond = ParseCondition();
       if (!cond.ok()) return cond.error();
       result = CorePattern::Where(std::move(result), std::move(cond).value());
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     if (!Cur().IsPunct(")")) return Err("expected ')' after group");
     ++pos_;
@@ -250,6 +258,7 @@ class Parser {
       Result<CoreCondPtr> rhs = ParseCondUnary();
       if (!rhs.ok()) return rhs;
       result = CoreCondition::And(std::move(result), std::move(rhs).value());
+      if (result->depth() > kMaxRegexDepth) return TooDeep();
     }
     return result;
   }
@@ -261,7 +270,9 @@ class Parser {
       ++pos_;
       Result<CoreCondPtr> inner = ParseCondUnary();
       if (!inner.ok()) return inner;
-      return CoreCondition::Not(std::move(inner).value());
+      CoreCondPtr negated = CoreCondition::Not(std::move(inner).value());
+      if (negated->depth() > kMaxRegexDepth) return TooDeep();
+      return negated;
     }
     if (Cur().IsPunct("(")) {
       ++pos_;

@@ -119,10 +119,11 @@ struct QueryResponse {
 /// caching, a fixed thread pool, per-query deadlines, and metrics.
 ///
 /// Thread-safety: `Execute` may be called concurrently from any thread
-/// (including pool threads via `Submit`); `SetGraph` may race with
-/// executions — in-flight queries keep the graph snapshot they started
-/// with alive via shared_ptr, and the epoch bump makes their plans
-/// uncacheable for later requests.
+/// (including pool threads via `Submit`); `SetGraph` and `ApplyMutation`
+/// may race with executions — in-flight queries keep the graph snapshot
+/// they started with alive via shared_ptr, and cache their plans under
+/// that snapshot's epoch and vocabulary, where a request pinned to a
+/// later view only finds them if they are still valid for it.
 class QueryEngine {
  public:
   struct Options {
@@ -183,25 +184,24 @@ class QueryEngine {
   /// come back as Result errors.
   std::future<Result<QueryResponse>> Submit(QueryRequest request);
 
-  /// Replaces the graph and bumps the epoch, invalidating every cached
-  /// plan (stale-epoch entries are evicted eagerly, not LRU-aged). Any
-  /// pending delta is dropped. In-flight queries finish against the graph
-  /// they started with.
+  /// Replaces the graph and bumps the epoch, so no cached plan is found
+  /// again (stale entries age out of the LRU). Any pending delta is
+  /// dropped. In-flight queries finish against the graph they started
+  /// with.
   void SetGraph(PropertyGraph graph);
 
   /// Outcome of `ApplyMutation`.
   struct MutationResult {
     size_t applied = 0;          // ops applied (== batch size on success)
     uint64_t pending_ops = 0;    // delta ops awaiting compaction
-    size_t plans_invalidated = 0;  // cache entries dropped (label-scoped)
     bool compaction_scheduled = false;
   };
 
   /// Applies a mutation batch through the delta overlay: O(delta) work, no
   /// graph clone, no epoch bump. Readers admitted afterwards see a merged
-  /// view layering the delta over the unchanged base; cached plans are
-  /// invalidated label-scoped (only plans naming a touched label or
-  /// property drop). Writes pass governor admission — under overload the
+  /// view layering the delta over the unchanged base; cached plans stay
+  /// valid unless the batch interns a new label or property name (see
+  /// PlanCacheKey). Writes pass governor admission — under overload the
   /// whole batch is shed with `kOverloaded` — and charge the engine's
   /// default budgets per op. On a mid-batch validation error the valid
   /// prefix stays applied (the error names the failing op).
@@ -324,15 +324,10 @@ class QueryEngine {
 
   MutationPolicy mutation_policy_;
   std::unique_ptr<MutationManager> mutation_;
-  /// Serializes ApplyMutation's apply → invalidate → publish sequence so a
-  /// second writer cannot publish a first writer's data before the first
-  /// writer's plan invalidation ran.
+  /// Serializes ApplyMutation's apply → log → publish sequence so a
+  /// second writer cannot publish a first writer's ops before they are
+  /// durable.
   mutable std::mutex write_mu_;
-  /// Bumped before any plan-cache invalidation (scoped or full). A reader
-  /// records it before compiling and skips its `Put` when it moved — a plan
-  /// compiled against pre-mutation state must not outlive the invalidation
-  /// that raced with it.
-  std::atomic<uint64_t> invalidation_version_{0};
 
   /// Null for RAM-only engines. All access is serialized under `write_mu_`
   /// except the lock-free `broken()` probe.

@@ -75,10 +75,6 @@ std::string MetricsRegistry::ReportText() const {
   row("write_sheds", write_sheds.value());
   row("compactions_run", compactions_run.value());
   row("merged_view_builds", merged_view_builds.value());
-  row("plan_invalidations_scoped", plan_invalidations_scoped.value());
-  row("plans_invalidated", plans_invalidated.value());
-  row("plan_invalidations_full", plan_invalidations_full.value());
-  row("plans_evicted_dead_epoch", plans_evicted_dead_epoch.value());
   row("wcoj_plans", wcoj_plans.value());
   row("queue_depth_high_water", queue_depth_high_water.value());
   row("peak_query_bytes", peak_query_bytes.value());
@@ -147,10 +143,6 @@ void MetricsRegistry::Reset() {
   write_sheds.Reset();
   compactions_run.Reset();
   merged_view_builds.Reset();
-  plan_invalidations_scoped.Reset();
-  plans_invalidated.Reset();
-  plan_invalidations_full.Reset();
-  plans_evicted_dead_epoch.Reset();
   queue_depth_high_water.Reset();
   peak_query_bytes.Reset();
   delta_pending_ops.Reset();

@@ -98,18 +98,13 @@ class MetricsRegistry {
   Counter cache_hits;          // compiled-plan cache
   Counter cache_misses;
   Counter truncated_results;   // evaluator hit an enumeration limit
-  Counter graph_epoch_bumps;   // SetGraph calls (base replacements); label-
-                               // scoped mutations do NOT bump the epoch —
-                               // they invalidate per-plan (see below)
+  Counter graph_epoch_bumps;   // SetGraph calls (base replacements);
+                               // mutations do NOT bump the epoch
   Counter write_batches;            // ApplyMutation calls admitted
   Counter write_ops;                // individual mutation ops applied
   Counter write_sheds;              // write batches shed by admission control
   Counter compactions_run;          // delta folds into a fresh base
   Counter merged_view_builds;       // overlay+base merged views constructed
-  Counter plan_invalidations_scoped;  // label-scoped invalidation passes
-  Counter plans_invalidated;          // cache entries dropped by those passes
-  Counter plan_invalidations_full;    // whole-cache invalidations (SetGraph)
-  Counter plans_evicted_dead_epoch;   // stale-epoch entries evicted eagerly
   // Network front-end (all zero for in-process-only engines).
   Counter server_sessions_total;   // connections accepted over the lifetime
   Counter server_queries;          // query frames handled

@@ -46,16 +46,14 @@ MutationManager::ApplyOutcome MutationManager::Apply(
   std::lock_guard<std::mutex> lock(mu_);
   if (overlay_ == nullptr) overlay_ = std::make_unique<DeltaOverlay>(base_);
   const uint64_t before = overlay_->seq();
-  out.applied = overlay_->Apply(batch, &out.touched_labels,
-                                &out.touched_properties, ctx);
+  out.applied = overlay_->Apply(batch, ctx);
   out.ops_applied = overlay_->seq() - before;
   out.pending_ops = overlay_->seq();
   if (overlay_->seq() != before) {
     memo_ = View{};
     memo_valid_ = false;
-    // No ticket bump here: the engine invalidates affected plans first,
-    // then calls Publish() — readers must never pair the new data with a
-    // stale cached plan.
+    // No ticket bump here: the engine logs the ops first, then calls
+    // Publish() — readers must never see ops that are not yet durable.
   }
   out.want_compaction = WantCompaction(policy);
   return out;
@@ -140,7 +138,7 @@ bool MutationManager::Compact(CompactReport* report) {
       rest.ops.assign(overlay_->log().begin() +
                           static_cast<ptrdiff_t>(log.size()),
                       overlay_->log().end());
-      Result<size_t> replayed = residual->Apply(rest, nullptr, nullptr);
+      Result<size_t> replayed = residual->Apply(rest);
       (void)replayed;
       assert(replayed.ok() &&
              "residual ops must replay cleanly onto the compacted base");

@@ -66,10 +66,6 @@ class MutationManager {
     Result<size_t> applied = 0;  // ops applied; prefix stays on error
     uint64_t ops_applied = 0;    // prefix length, valid even on error
     uint64_t pending_ops = 0;    // overlay op count after this batch
-    /// Names touched by the applied prefix — the engine's label-scoped
-    /// plan-cache invalidation keys.
-    std::vector<std::string> touched_labels;
-    std::vector<std::string> touched_properties;
     bool want_compaction = false;  // policy threshold crossed
   };
 
@@ -100,9 +96,9 @@ class MutationManager {
 
   /// Applies `batch` to the live overlay (creating it lazily). `ctx`, when
   /// set, charges write budgets per op. Serialized internally. Does NOT
-  /// advance the reader-visible ticket — the caller invalidates affected
-  /// cached plans first and then calls `Publish()`, so no reader can pair
-  /// post-mutation data with a pre-mutation plan.
+  /// advance the reader-visible ticket — the caller logs the applied ops
+  /// first and then calls `Publish()`, so no reader sees ops that are not
+  /// yet durable.
   ApplyOutcome Apply(const MutationBatch& batch, const MutationPolicy& policy,
                      const QueryContext* ctx = nullptr);
 

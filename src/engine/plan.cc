@@ -1,6 +1,5 @@
 #include "src/engine/plan.h"
 
-#include <algorithm>
 #include <utility>
 
 #include "src/coregql/pattern_parser.h"
@@ -45,43 +44,6 @@ std::vector<std::string> AtomVars(const CrpqAtom& atom) {
     vars.push_back(atom.to.name);
   }
   return vars;
-}
-
-// Accumulates the label and property names a regex resolves against the
-// graph at compile time (Nfa/DlNfa::FromRegex interns them into the
-// automaton) — the raw material for Plan::deps. kAny atoms resolve no
-// name; kNegSet atoms depend on every *named* member (the wildcard
-// remainder matches by exclusion and needs none).
-void CollectRegexDeps(const Regex& r, std::vector<std::string>* labels,
-                      std::vector<std::string>* properties) {
-  switch (r.op()) {
-    case Regex::Op::kEpsilon:
-      return;
-    case Regex::Op::kAtom: {
-      const Atom& a = r.atom();
-      if (a.label_kind == Atom::LabelKind::kOne ||
-          a.label_kind == Atom::LabelKind::kNegSet) {
-        labels->insert(labels->end(), a.labels.begin(), a.labels.end());
-      }
-      if (a.test.has_value()) properties->push_back(a.test->property);
-      return;
-    }
-    case Regex::Op::kConcat:
-    case Regex::Op::kUnion:
-      CollectRegexDeps(*r.left(), labels, properties);
-      CollectRegexDeps(*r.right(), labels, properties);
-      return;
-    case Regex::Op::kStar:
-    case Regex::Op::kPlus:
-    case Regex::Op::kOptional:
-      CollectRegexDeps(*r.child(), labels, properties);
-      return;
-  }
-}
-
-void SortUnique(std::vector<std::string>* v) {
-  std::sort(v->begin(), v->end());
-  v->erase(std::unique(v->begin(), v->end()), v->end());
 }
 
 // Orders `conjuncts` with the greedy planner when stats were supplied,
@@ -389,41 +351,6 @@ Result<PlanPtr> CompilePlan(QueryLanguage language, const std::string& text,
     }
   }
 
-  // Record compile-time name resolution from the retained regex ASTs.
-  // CoreGQL / GqlGroup / Regular plans resolve names at evaluation time and
-  // keep empty deps (they survive every label-scoped mutation).
-  if (const auto* rpq = std::get_if<RpqPlan>(&plan->compiled)) {
-    CollectRegexDeps(*rpq->regex, &plan->deps.labels, &plan->deps.properties);
-  } else if (const auto* crpq = std::get_if<CrpqPlan>(&plan->compiled)) {
-    for (const CrpqAtom& atom : crpq->query.atoms) {
-      CollectRegexDeps(*atom.regex, &plan->deps.labels,
-                       &plan->deps.properties);
-    }
-  } else if (const auto* dl = std::get_if<DlCrpqPlan>(&plan->compiled)) {
-    for (const CrpqAtom& atom : dl->query.atoms) {
-      CollectRegexDeps(*atom.regex, &plan->deps.labels,
-                       &plan->deps.properties);
-    }
-  } else if (const auto* paths = std::get_if<PathsPlan>(&plan->compiled)) {
-    CollectRegexDeps(*paths->regex, &plan->deps.labels,
-                     &plan->deps.properties);
-  } else if (const auto* gql = std::get_if<CoreGqlPlan>(&plan->compiled)) {
-    // CoreGQL normally resolves names at evaluation time, but a wcoj group
-    // bakes resolved label ids — record those labels so a label-scoped
-    // mutation invalidates the plan exactly like an automata plan.
-    for (size_t b = 0; b < gql->block_wcoj.size(); ++b) {
-      if (!gql->block_wcoj[b].has_value()) continue;
-      const CoreMatchBlock& block = gql->query.blocks[b];
-      for (size_t i : gql->block_wcoj[b]->conjuncts) {
-        std::string from, to, label;
-        if (WcojEligibleEntry(block.patterns[i], &from, &to, &label)) {
-          plan->deps.labels.push_back(std::move(label));
-        }
-      }
-    }
-  }
-  SortUnique(&plan->deps.labels);
-  SortUnique(&plan->deps.properties);
   return PlanPtr(std::move(plan));
 }
 

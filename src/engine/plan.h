@@ -24,9 +24,10 @@
 namespace gqzoo {
 
 /// Compiled forms per language. Parsing and automaton construction happen
-/// once at compile time; execution reuses them. Automata resolve label
-/// names against a specific graph (Nfa::FromRegex takes the graph), which
-/// is why plans are keyed by graph epoch and cannot outlive a mutation.
+/// once at compile time; execution reuses them. Automata resolve label and
+/// property names to the graph's interned ids (Nfa::FromRegex takes the
+/// graph), which is why the plan cache keys a plan by the graph's
+/// vocabulary (see PlanCacheKey).
 
 struct RpqPlan {
   RegexPtr regex;
@@ -44,8 +45,7 @@ struct CrpqPlan {
   ExplainInfo explain;
   /// Set when the planner detected a cyclic core of single-label atoms:
   /// the worst-case-optimal join group, with label ids resolved at
-  /// compile time (like the NFAs, covered by the same deps). Execution
-  /// always honors it.
+  /// compile time like the NFAs. Execution always honors it.
   std::optional<rel::WcojSpec> wcoj;
 };
 
@@ -66,8 +66,7 @@ struct CoreGqlPlan {
   std::vector<ExplainInfo> block_explains;
   /// Per-block wcoj groups (see CrpqPlan::wcoj), parallel to
   /// `query.blocks`. The baked label ids make these the one CoreGQL
-  /// artifact resolved at compile time, so their label names are added to
-  /// the plan's deps.
+  /// artifact resolved at compile time.
   std::vector<std::optional<rel::WcojSpec>> block_wcoj;
 };
 
@@ -88,20 +87,6 @@ struct PathsPlan {
   std::optional<Nfa> nfa;       // set otherwise (plain dialect)
 };
 
-/// The graph names a compiled plan resolved at *compile* time — the
-/// fingerprint the mutation path uses for label-scoped cache invalidation.
-/// Automata-compiled languages (RPQ / CRPQ / dl-CRPQ / Paths) bake interned
-/// label and property ids into their NFAs, so a plan stays valid across a
-/// mutation iff none of its named labels/properties were touched (wildcard
-/// `_` transitions match by exclusion and are unaffected: merged views only
-/// ever *append* label ids, never renumber). Languages that resolve names
-/// at evaluation time (CoreGQL, GqlGroup, Regular) have empty deps and
-/// survive every label-scoped mutation.
-struct PlanDeps {
-  std::vector<std::string> labels;      // sorted, unique
-  std::vector<std::string> properties;  // sorted, unique
-};
-
 /// A compiled, immutable, shareable query plan. Produced by `CompilePlan`,
 /// cached by `PlanCache`, executed by `QueryEngine`. Safe to execute from
 /// several threads concurrently (execution only reads it).
@@ -109,7 +94,6 @@ struct Plan {
   QueryLanguage language;
   std::string text;       // the source query text
   uint64_t graph_epoch;   // epoch of the graph the plan was compiled against
-  PlanDeps deps;          // names resolved at compile time
   // monostate only while under construction in CompilePlan (some
   // alternatives, e.g. RpqPlan's Nfa, are not default-constructible).
   std::variant<std::monostate, RpqPlan, CrpqPlan, DlCrpqPlan, CoreGqlPlan,
@@ -131,8 +115,9 @@ struct PlanOptions {};
 /// planner for CRPQ / dl-CRPQ / CoreGQL plans: atom result sizes are
 /// estimated from the per-label statistics and conjuncts are ordered
 /// smallest-first, connected-preferred. Without stats, conjuncts keep
-/// their textual order. `stats` does not change plan identity: the cache
-/// key already carries the graph epoch, which determines the statistics.
+/// their textual order. `stats` does not change plan identity: it picks
+/// only the join order and the wcoj group, which are answer-neutral, so a
+/// cached plan keeps them while later writes drift the statistics.
 /// CoreGQL queries are compiled with their WHERE pushdown applied.
 Result<PlanPtr> CompilePlan(QueryLanguage language, const std::string& text,
                             const PropertyGraph& g, uint64_t graph_epoch,

@@ -1,6 +1,5 @@
 #include "src/engine/plan_cache.h"
 
-#include <unordered_set>
 #include <utility>
 
 namespace gqzoo {
@@ -48,53 +47,6 @@ void PlanCache::Put(const PlanCacheKey& key, PlanPtr plan) {
   }
   shard.lru.push_front(Entry{key, std::move(plan)});
   shard.map[key] = shard.lru.begin();
-}
-
-size_t PlanCache::InvalidateDeps(const std::vector<std::string>& labels,
-                                 const std::vector<std::string>& properties) {
-  std::unordered_set<std::string> touched_labels(labels.begin(), labels.end());
-  std::unordered_set<std::string> touched_props(properties.begin(),
-                                                properties.end());
-  auto hits = [](const std::vector<std::string>& deps,
-                 const std::unordered_set<std::string>& touched) {
-    for (const std::string& name : deps) {
-      if (touched.count(name) != 0) return true;
-    }
-    return false;
-  };
-  size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      const PlanDeps& deps = it->plan->deps;
-      if (hits(deps.labels, touched_labels) ||
-          hits(deps.properties, touched_props)) {
-        shard.map.erase(it->key);
-        it = shard.lru.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  return dropped;
-}
-
-size_t PlanCache::EvictOtherEpochs(uint64_t current_epoch) {
-  size_t dropped = 0;
-  for (Shard& shard : shards_) {
-    std::lock_guard<std::mutex> lock(shard.mu);
-    for (auto it = shard.lru.begin(); it != shard.lru.end();) {
-      if (it->key.graph_epoch != current_epoch) {
-        shard.map.erase(it->key);
-        it = shard.lru.erase(it);
-        ++dropped;
-      } else {
-        ++it;
-      }
-    }
-  }
-  return dropped;
 }
 
 void PlanCache::Clear() {

@@ -37,7 +37,7 @@ std::string ReplayRender(const std::shared_ptr<const PropertyGraph>& base,
   for (const storage::WalRecord& record : records) {
     MutationBatch batch;
     batch.ops = record.ops;
-    Result<size_t> applied = overlay.Apply(batch, nullptr, nullptr);
+    Result<size_t> applied = overlay.Apply(batch);
     if (!applied.ok()) {
       *error = "record lsn " + std::to_string(record.lsn) +
                " did not replay: " + applied.error().message();

@@ -33,6 +33,50 @@ std::string StatusString(bool ok, ErrorCode code) {
   return ok ? "OK" : std::string(ErrorCodeName(code));
 }
 
+/// The mutation.cached-vs-cold leg (see RunMutationOracle). `rebuilt` is
+/// the simulator's from-scratch rebuild, already checked byte-identical to
+/// the merged view.
+void CheckCachedAfterWrites(const FuzzCase& c, const PropertyGraph& base,
+                            const PropertyGraph& rebuilt,
+                            const OracleOptions& options,
+                            OracleReport* report) {
+  QueryEngine& engine = *options.engine;
+  engine.SetGraph(base);
+  QueryRequest request = c.ToRequest();
+  request.max_results = options.max_results;
+  request.max_path_length = options.max_path_length;
+  const Result<QueryResponse> before = engine.Execute(request);
+  // Only a parse error leaves no plan in the cache.
+  const bool cached_before =
+      before.ok() || before.error().code() != ErrorCode::kParse;
+
+  for (size_t i = 0; i < c.mutations.size(); ++i) {
+    if (i == c.mutations.size() / 2) engine.CompactNow();
+    MutationBatch batch;
+    batch.ops.push_back(c.mutations[i]);
+    (void)engine.ApplyMutation(batch);  // op fates: mutation.op-status
+  }
+  const std::shared_ptr<const PropertyGraph> after = engine.graph_snapshot();
+  const bool vocabulary_grew =
+      after->skeleton().NumLabels() != base.skeleton().NumLabels() ||
+      after->NumProperties() != base.NumProperties();
+  const Result<QueryResponse> cached = engine.Execute(request);
+
+  engine.SetGraph(rebuilt);  // a new epoch: compiled cold
+  const Result<QueryResponse> cold = engine.Execute(request);
+
+  ++report->checks;
+  ++report->leg_checks["mutation.cached-vs-cold"];
+  const char* check = "mutation.cached-vs-cold";
+  if (cached_before && !vocabulary_grew && cached.ok() &&
+      !cached.value().cache_hit) {
+    report->Add(check, "the writes interned no name, yet the plan cached "
+                       "before them was not reused");
+  }
+  const std::string mismatch = ResponseMismatch(cached, cold);
+  if (!mismatch.empty()) report->Add(check, "cached vs cold: " + mismatch);
+}
+
 }  // namespace
 
 GraphSim::GraphSim(const PropertyGraph& base) : base_(&base) {
@@ -338,7 +382,7 @@ void RunMutationOracle(const FuzzCase& c, const OracleOptions& options,
   for (size_t i = 0; i < c.mutations.size(); ++i) {
     MutationBatch batch;
     batch.ops.push_back(c.mutations[i]);
-    Result<size_t> via_overlay = overlay.Apply(batch, nullptr, nullptr);
+    Result<size_t> via_overlay = overlay.Apply(batch);
     Result<bool> via_sim = sim.Apply(c.mutations[i]);
     ++report->checks;
     if (via_overlay.ok() != via_sim.ok() ||
@@ -436,6 +480,10 @@ void RunMutationOracle(const FuzzCase& c, const OracleOptions& options,
         }
       }
     }
+  }
+
+  if (options.engine != nullptr && options.engine_checks) {
+    CheckCachedAfterWrites(c, *base, rebuilt, options, report);
   }
 }
 

@@ -26,7 +26,7 @@ struct MutationGenOptions {
   /// reference simulator does, and that they leave no state behind.
   uint64_t invalid_percent = 12;
   /// Percent of labels drawn fresh (outside the graph's alphabet) instead
-  /// of from it — exercises unknown-label-becomes-known invalidation.
+  /// of from it — exercises plan-cache misses when the vocabulary grows.
   uint64_t fresh_label_percent = 20;
 };
 
@@ -120,10 +120,17 @@ std::vector<MutationOp> GenMutations(FuzzRng* rng, const PropertyGraph& base,
 ///                              pre-mutation RPQ answer set is a subset of
 ///                              the post-mutation one (the edge-addition
 ///                              monotonicity property, lifted from the
-///                              metamorphic suite to the write path).
+///                              metamorphic suite to the write path);
+///   mutation.cached-vs-cold    with `options.engine`: the query runs on
+///                              the engine, the ops go through
+///                              `ApplyMutation` (a `CompactNow` midway),
+///                              and the re-run must hit the plan cache
+///                              unless the writes interned a new label or
+///                              property name, and must answer
+///                              byte-identically to a cold compile on the
+///                              rebuilt graph (a fresh epoch).
 ///
-/// Library-level only (no engine needed); never throws — divergences are
-/// appended to `report`.
+/// Never throws — divergences are appended to `report`.
 void RunMutationOracle(const FuzzCase& c, const OracleOptions& options,
                        OracleReport* report);
 

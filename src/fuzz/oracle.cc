@@ -611,27 +611,17 @@ class OracleRun {
     }
   }
 
-  /// Same status (and code), and the same rendered rows — unless an
-  /// enumeration limit cut either run short and `exact` is false.
+  /// ResponseMismatch — unless an enumeration limit cut either run short
+  /// and `exact` is false.
   void CompareResponses(const std::string& check,
                         const Result<QueryResponse>& a,
                         const Result<QueryResponse>& b, bool exact = false) {
-    if (a.ok() != b.ok()) {
-      Check(false, check,
-            a.ok() ? "first ok but second failed: " + b.error().message()
-                   : "first failed but second ok: " + a.error().message());
-    } else if (!a.ok()) {
-      Check(a.error().code() == b.error().code(), check,
-            std::string("error codes differ: ") +
-                ErrorCodeName(a.error().code()) + " vs " +
-                ErrorCodeName(b.error().code()));
-    } else if (exact || (!a.value().truncated && !b.value().truncated)) {
-      Check(a.value().text == b.value().text &&
-                a.value().num_rows == b.value().num_rows &&
-                a.value().truncated == b.value().truncated,
-            check, "first:\n" + a.value().text + "second:\n" +
-                       b.value().text);
+    if (!exact && a.ok() && b.ok() &&
+        (a.value().truncated || b.value().truncated)) {
+      return;
     }
+    const std::string mismatch = ResponseMismatch(a, b);
+    Check(mismatch.empty(), check, mismatch);
   }
 
   /// Runs `leg` of `plan` with the engine matrix's limits.
@@ -772,6 +762,27 @@ class OracleRun {
 };
 
 }  // namespace
+
+std::string ResponseMismatch(const Result<QueryResponse>& a,
+                             const Result<QueryResponse>& b) {
+  if (a.ok() != b.ok()) {
+    return Brief(a.ok()
+                     ? "first ok but second failed: " + b.error().message()
+                     : "first failed but second ok: " + a.error().message());
+  }
+  if (!a.ok()) {
+    if (a.error().code() == b.error().code()) return std::string();
+    return std::string("error codes differ: ") +
+           ErrorCodeName(a.error().code()) + " vs " +
+           ErrorCodeName(b.error().code());
+  }
+  if (a.value().text == b.value().text &&
+      a.value().num_rows == b.value().num_rows &&
+      a.value().truncated == b.value().truncated) {
+    return std::string();
+  }
+  return Brief("first:\n" + a.value().text + "second:\n" + b.value().text);
+}
 
 void OracleReport::Add(const std::string& check, const std::string& detail) {
   divergences.push_back({check, detail});

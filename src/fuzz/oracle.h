@@ -57,9 +57,10 @@ struct OracleReport {
   std::vector<Divergence> divergences;
   /// Individual leg comparisons performed (for throughput reporting).
   size_t checks = 0;
-  /// Comparisons per definitional-reference leg and per plan leg
-  /// (src/fuzz/plan_legs.h); a case whose reference ran out of its work
-  /// budget counts under "<leg>.inconclusive".
+  /// Comparisons per definitional-reference leg, per plan leg
+  /// (src/fuzz/plan_legs.h) and of mutation.cached-vs-cold (see
+  /// RunMutationOracle); a case whose reference ran out of its work budget
+  /// counts under "<leg>.inconclusive".
   std::map<std::string, size_t> leg_checks;
   /// The case's query text parsed at the library level. Cases that fail to
   /// parse still exercise the parse-error-parity legs, but a fuzzer wants
@@ -70,6 +71,13 @@ struct OracleReport {
   void Add(const std::string& check, const std::string& detail);
   std::string ToString() const;
 };
+
+/// Compares two engine responses: the same status and error code, and the
+/// same rendered rows, row count and truncation flag. Empty when they
+/// agree; otherwise says what differs, calling `a` "first" and `b`
+/// "second".
+std::string ResponseMismatch(const Result<QueryResponse>& a,
+                             const Result<QueryResponse>& b);
 
 /// Runs `c` through every applicable leg pair and records any
 /// disagreement:

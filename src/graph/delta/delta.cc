@@ -348,9 +348,7 @@ LabelId DeltaOverlay::InternLabelName(const std::string& name) {
   return id;
 }
 
-PropertyId DeltaOverlay::InternPropertyName(const std::string& name,
-                                            bool* is_new) {
-  *is_new = false;
+PropertyId DeltaOverlay::InternPropertyName(const std::string& name) {
   std::optional<PropertyId> base_id = base_->FindProperty(name);
   if (base_id.has_value()) return *base_id;
   auto it = added_prop_by_name_.find(name);
@@ -358,7 +356,6 @@ PropertyId DeltaOverlay::InternPropertyName(const std::string& name,
   PropertyId id = base_props_ + static_cast<PropertyId>(added_props_.size());
   added_props_.push_back(name);
   added_prop_by_name_.emplace(name, id);
-  *is_new = true;
   return id;
 }
 
@@ -367,14 +364,8 @@ const std::string& DeltaOverlay::LabelNameOf(LabelId l) const {
   return added_labels_[l - base_labels_];
 }
 
-void DeltaOverlay::TouchLabel(LabelId l, std::vector<std::string>* out) {
-  touched_label_ids_.insert(l);
-  if (out != nullptr) out->push_back(LabelNameOf(l));
-}
-
-void DeltaOverlay::RemoveEdgeInternal(uint32_t old_id,
-                                      std::vector<std::string>* touched) {
-  TouchLabel(EdgeLabelOf(old_id), touched);
+void DeltaOverlay::RemoveEdgeInternal(uint32_t old_id) {
+  touched_label_ids_.insert(EdgeLabelOf(old_id));
   if (old_id < base_edges_) {
     if (base_edge_dead_.empty()) base_edge_dead_.assign(base_edges_, 0);
     base_edge_dead_[old_id] = 1;
@@ -385,9 +376,7 @@ void DeltaOverlay::RemoveEdgeInternal(uint32_t old_id,
   }
 }
 
-Result<bool> DeltaOverlay::ApplyOne(
-    const MutationOp& op, std::vector<std::string>* touched_labels,
-    std::vector<std::string>* touched_properties) {
+Result<bool> DeltaOverlay::ApplyOne(const MutationOp& op) {
   // Identifier validation up front (before any interning or resolution):
   // rejected ops must leave zero state behind, and accepted ops must be
   // WAL-payload round-trip safe.
@@ -404,7 +393,7 @@ Result<bool> DeltaOverlay::ApplyOne(
       added_nodes_.push_back(AddedNode{op.name, l, true});
       added_node_by_name_[op.name] = ordinal;
       ++alive_added_nodes_;
-      TouchLabel(l, touched_labels);
+      touched_label_ids_.insert(l);
       return true;
     }
     case MutationOp::Kind::kRemoveNode: {
@@ -415,10 +404,10 @@ Result<bool> DeltaOverlay::ApplyOne(
       // Cascade: drop every alive incident edge first (base + added).
       if (*id < base_nodes_) {
         for (EdgeId e : base_->OutEdges(*id)) {
-          if (EdgeAlive(e)) RemoveEdgeInternal(e, touched_labels);
+          if (EdgeAlive(e)) RemoveEdgeInternal(e);
         }
         for (EdgeId e : base_->InEdges(*id)) {
-          if (EdgeAlive(e)) RemoveEdgeInternal(e, touched_labels);
+          if (EdgeAlive(e)) RemoveEdgeInternal(e);
         }
       }
       auto drop_added = [&](std::unordered_map<uint32_t,
@@ -427,13 +416,13 @@ Result<bool> DeltaOverlay::ApplyOne(
         if (it == adj.end()) return;
         for (uint32_t ordinal : it->second) {
           if (added_edges_[ordinal].alive) {
-            RemoveEdgeInternal(base_edges_ + ordinal, touched_labels);
+            RemoveEdgeInternal(base_edges_ + ordinal);
           }
         }
       };
       drop_added(added_out_);
       drop_added(added_in_);
-      TouchLabel(NodeLabelOf(*id), touched_labels);
+      touched_label_ids_.insert(NodeLabelOf(*id));
       if (*id < base_nodes_) {
         if (base_node_dead_.empty()) base_node_dead_.assign(base_nodes_, 0);
         base_node_dead_[*id] = 1;
@@ -464,7 +453,7 @@ Result<bool> DeltaOverlay::ApplyOne(
       added_out_[*src].push_back(ordinal);
       added_in_[*tgt].push_back(ordinal);
       ++alive_added_edges_;
-      TouchLabel(l, touched_labels);
+      touched_label_ids_.insert(l);
       return true;
     }
     case MutationOp::Kind::kRemoveEdge: {
@@ -472,7 +461,7 @@ Result<bool> DeltaOverlay::ApplyOne(
       if (!id.has_value()) {
         return Error(ErrorCode::kNotFound, "unknown edge '" + op.name + "'");
       }
-      RemoveEdgeInternal(*id, touched_labels);
+      RemoveEdgeInternal(*id);
       return true;
     }
     case MutationOp::Kind::kSetLabel: {
@@ -483,8 +472,8 @@ Result<bool> DeltaOverlay::ApplyOne(
       LabelId next = InternLabelName(op.label);
       LabelId prev = NodeLabelOf(*id);
       if (next == prev) return true;
-      TouchLabel(prev, touched_labels);
-      TouchLabel(next, touched_labels);
+      touched_label_ids_.insert(prev);
+      touched_label_ids_.insert(next);
       if (*id < base_nodes_) {
         node_label_override_[*id] = next;
       } else {
@@ -500,11 +489,7 @@ Result<bool> DeltaOverlay::ApplyOne(
                      std::string("unknown ") + (op.on_edge ? "edge" : "node") +
                          " '" + op.name + "'");
       }
-      bool is_new = false;
-      PropertyId p = InternPropertyName(op.property, &is_new);
-      if (is_new && touched_properties != nullptr) {
-        touched_properties->push_back(op.property);
-      }
+      PropertyId p = InternPropertyName(op.property);
       prop_overrides_[PropKey(op.on_edge, *id, p)] = op.value;
       return true;
     }
@@ -513,8 +498,6 @@ Result<bool> DeltaOverlay::ApplyOne(
 }
 
 Result<size_t> DeltaOverlay::Apply(const MutationBatch& batch,
-                                   std::vector<std::string>* touched_labels,
-                                   std::vector<std::string>* touched_properties,
                                    const QueryContext* ctx) {
   size_t applied = 0;
   for (const MutationOp& op : batch.ops) {
@@ -528,7 +511,7 @@ Result<size_t> DeltaOverlay::Apply(const MutationBatch& batch,
                          ctx->Report().ToString());
       }
     }
-    Result<bool> r = ApplyOne(op, touched_labels, touched_properties);
+    Result<bool> r = ApplyOne(op);
     if (!r.ok()) {
       return Error(r.error().code(),
                    "op " + std::to_string(applied) + " (" + op.ToString() +

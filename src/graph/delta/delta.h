@@ -92,7 +92,7 @@ bool IsValidMutationName(const std::string& s);
 Result<bool> ValidateMutationNames(const MutationOp& op);
 
 /// An ordered group of mutations applied as one write. Grouping amortizes
-/// admission and invalidation; it is not a transaction — on a mid-batch
+/// admission and logging; it is not a transaction — on a mid-batch
 /// error the already-applied prefix stays (and only that prefix enters the
 /// replay log, so delta and rebuild views never diverge).
 struct MutationBatch {
@@ -127,14 +127,10 @@ class DeltaOverlay {
   explicit DeltaOverlay(std::shared_ptr<const PropertyGraph> base);
 
   /// Applies `batch` op by op, stopping at the first invalid op (the error
-  /// names the op and its index; prior ops stay applied). Appends label
-  /// names whose edge/node membership changed to `touched_labels` and
-  /// newly interned property names to `touched_properties` (both may be
-  /// null). `ctx`, when set, charges one step per op plus the overlay
-  /// growth in bytes — the write path's budget admission.
+  /// names the op and its index; prior ops stay applied). `ctx`, when set,
+  /// charges one step per op plus the overlay growth in bytes — the write
+  /// path's budget admission.
   Result<size_t> Apply(const MutationBatch& batch,
-                       std::vector<std::string>* touched_labels,
-                       std::vector<std::string>* touched_properties,
                        const QueryContext* ctx = nullptr);
 
   const std::shared_ptr<const PropertyGraph>& base() const { return base_; }
@@ -188,14 +184,11 @@ class DeltaOverlay {
   LabelId EdgeLabelOf(uint32_t old_id) const;
   /// Interns into the layered label universe; records newly created names.
   LabelId InternLabelName(const std::string& name);
-  PropertyId InternPropertyName(const std::string& name, bool* is_new);
+  PropertyId InternPropertyName(const std::string& name);
   const std::string& LabelNameOf(LabelId l) const;
-  void TouchLabel(LabelId l, std::vector<std::string>* out);
-  void RemoveEdgeInternal(uint32_t old_id, std::vector<std::string>* touched);
+  void RemoveEdgeInternal(uint32_t old_id);
 
-  Result<bool> ApplyOne(const MutationOp& op,
-                        std::vector<std::string>* touched_labels,
-                        std::vector<std::string>* touched_properties);
+  Result<bool> ApplyOne(const MutationOp& op);
 
   std::shared_ptr<const PropertyGraph> base_;
   std::vector<MutationOp> log_;

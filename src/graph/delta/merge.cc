@@ -408,9 +408,7 @@ PropertyGraph GraphDeltaMerger::Replay(const PropertyGraph& base,
   DeltaOverlay scratch(std::move(alias));
   MutationBatch batch;
   batch.ops = log;
-  Result<size_t> applied =
-      scratch.Apply(batch, /*touched_labels=*/nullptr,
-                    /*touched_properties=*/nullptr);
+  Result<size_t> applied = scratch.Apply(batch);
   (void)applied;
   assert(applied.ok() && "replaying a validated op log cannot fail");
   return Materialize(scratch);

@@ -184,21 +184,4 @@ bool Regex::Nullable() const {
   return false;
 }
 
-size_t Regex::NumPositions() const {
-  switch (op_) {
-    case Op::kEpsilon:
-      return 0;
-    case Op::kAtom:
-      return 1;
-    case Op::kConcat:
-    case Op::kUnion:
-      return left()->NumPositions() + right()->NumPositions();
-    case Op::kStar:
-    case Op::kPlus:
-    case Op::kOptional:
-      return child()->NumPositions();
-  }
-  return 0;
-}
-
 }  // namespace gqzoo

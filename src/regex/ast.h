@@ -157,8 +157,10 @@ class Regex {
   /// Whether ε ∈ L(R) (for atoms: false).
   bool Nullable() const;
 
-  /// Number of atom occurrences (Glushkov positions).
-  size_t NumPositions() const;
+  /// Number of atom occurrences (Glushkov positions) in the desugared
+  /// tree, each occurrence of a shared subtree counted; saturates at
+  /// SIZE_MAX.
+  size_t NumPositions() const { return positions_; }
 
   /// Height of the syntax tree: 1 for an atom or ε. Every recursive pass
   /// over the expression, destruction included, nests this deep.
@@ -171,8 +173,12 @@ class Regex {
   // only by the factory implementation to reach this constructor.
   Regex(Op op, Atom atom, std::vector<RegexPtr> children)
       : op_(op), atom_(std::move(atom)), children_(std::move(children)) {
+    if (op_ == Op::kAtom) positions_ = 1;
     for (const RegexPtr& c : children_) {
       depth_ = std::max(depth_, c->depth_ + 1);
+      positions_ = c->positions_ > SIZE_MAX - positions_
+                       ? SIZE_MAX
+                       : positions_ + c->positions_;
     }
   }
 
@@ -181,6 +187,7 @@ class Regex {
   Atom atom_;                      // valid iff op_ == kAtom
   std::vector<RegexPtr> children_;
   size_t depth_ = 1;
+  size_t positions_ = 0;
 };
 
 }  // namespace gqzoo

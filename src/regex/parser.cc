@@ -32,7 +32,8 @@ class Parser {
       : tokens_(tokens), pos_(pos), dialect_(dialect) {}
 
   // Each group nests one level of this recursion, deepening the tree or
-  // not, and each operator below checks the depth of the tree it built.
+  // not, and each operator below checks the depth and the position count
+  // of the tree it built.
   Result<RegexPtr> ParseUnion() {
     if (nesting_ == kMaxRegexDepth) return TooDeep();
     ++nesting_;
@@ -48,7 +49,7 @@ class Parser {
       Result<RegexPtr> rhs = ParseConcat();
       if (!rhs.ok()) return rhs;
       result = Regex::Union(std::move(result), std::move(rhs).value());
-      if (result->depth() > kMaxRegexDepth) return TooDeep();
+      if (!Fits(*result)) return Oversized(*result);
     }
     return result;
   }
@@ -72,6 +73,17 @@ class Parser {
                " levels");
   }
 
+  static bool Fits(const Regex& r) {
+    return r.depth() <= kMaxRegexDepth &&
+           r.NumPositions() <= kMaxRegexPositions;
+  }
+
+  Error Oversized(const Regex& r) {
+    if (r.depth() > kMaxRegexDepth) return TooDeep();
+    return Err("regex expands to more than " +
+               std::to_string(kMaxRegexPositions) + " atoms");
+  }
+
   Result<RegexPtr> ParseConcat() {
     Result<RegexPtr> first = ParseFactor();
     if (!first.ok()) return first;
@@ -80,7 +92,7 @@ class Parser {
       Result<RegexPtr> next = ParseFactor();
       if (!next.ok()) return next;
       result = Regex::Concat(std::move(result), std::move(next).value());
-      if (result->depth() > kMaxRegexDepth) return TooDeep();
+      if (!Fits(*result)) return Oversized(*result);
     }
     return result;
   }
@@ -117,7 +129,7 @@ class Parser {
       } else {
         break;
       }
-      if (result->depth() > kMaxRegexDepth) return TooDeep();
+      if (!Fits(*result)) return Oversized(*result);
     }
     return result;
   }

@@ -31,8 +31,19 @@ enum class RegexDialect {
 /// exactly this depth passes all four under ASan (DESIGN.md).
 inline constexpr size_t kMaxRegexDepth = 256;
 
-/// Parses a complete regex; fails if trailing tokens remain or the regex
-/// is deeper than `kMaxRegexDepth`.
+/// The most Glushkov positions (atom occurrences after `{n,m}` is
+/// desugared) a regex may have. Nested repetition multiplies positions
+/// while it only adds depth: the 25-byte `(((a{60}){60}){60}){60}` passes
+/// the depth bound and desugars to 1.3·10^7 positions. The automaton has
+/// one state per position and up to one transition per pair of them, so
+/// this bounds compile time and memory for every language that embeds a
+/// regex: the worst case at the bound, a starred union of 1024 atoms, has
+/// about 10^6 transitions (56 MB peak RSS to compile; 4096 atoms took
+/// 840 MB).
+inline constexpr size_t kMaxRegexPositions = 1024;
+
+/// Parses a complete regex; fails if trailing tokens remain, or the regex
+/// is deeper than `kMaxRegexDepth` or larger than `kMaxRegexPositions`.
 Result<RegexPtr> ParseRegex(const std::string& text, RegexDialect dialect);
 
 /// Parses a regex from `tokens` starting at `*pos`, advancing `*pos` past

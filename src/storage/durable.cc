@@ -227,7 +227,7 @@ Result<DurableStore::Opened> DurableStore::Open(
     }
     MutationBatch batch;
     batch.ops = rec.ops;
-    Result<size_t> applied = overlay.Apply(batch, nullptr, nullptr);
+    Result<size_t> applied = overlay.Apply(batch);
     if (!applied.ok() || applied.value() != rec.ops.size()) {
       return Error(ErrorCode::kDataLoss,
                    "logged batch lsn " + std::to_string(rec.lsn) +

@@ -130,6 +130,45 @@ TEST(CorePatternDepthTest, OnePastTheLimitIsAParseError) {
   EXPECT_FALSE(where.ok());
 }
 
+// `steps` repetitions of `unit` after `head`: a flat chain that deepens
+// the tree without nesting any group.
+std::string FlatChain(const std::string& head, const std::string& unit,
+                      size_t steps) {
+  std::string out = head;
+  out.reserve(head.size() + unit.size() * steps);
+  for (size_t i = 0; i < steps; ++i) out += unit;
+  return out;
+}
+
+void ExpectTooDeep(const Result<CorePatternPtr>& p) {
+  ASSERT_FALSE(p.ok());
+  EXPECT_NE(p.error().message().find("deeper than"), std::string::npos)
+      << p.error().message();
+}
+
+TEST(CorePatternDepthTest, LongEdgeChainIsAParseError) {
+  // Each `->(x)` adds an edge and a node factor to the concatenation.
+  EXPECT_TRUE(ParseCorePattern(FlatChain("(x)", "->(x)", 100)).ok());
+  ExpectTooDeep(ParseCorePattern(FlatChain("(x)", "->(x)", 20000)));
+}
+
+TEST(CorePatternDepthTest, LongPostfixRepeatChainIsAParseError) {
+  EXPECT_TRUE(ParseCorePattern(FlatChain("(x)", "?", kMaxRegexDepth - 1)).ok());
+  ExpectTooDeep(ParseCorePattern(FlatChain("(x)", "?", kMaxRegexDepth)));
+  ExpectTooDeep(ParseCorePattern(FlatChain("(x)", "?", 50000)));
+}
+
+TEST(CorePatternDepthTest, LongConditionChainIsAParseError) {
+  // The bound fires while the chain is read, before the missing ')'.
+  ExpectTooDeep(ParseCorePattern(
+      FlatChain("( (x) WHERE x.k = 1", " AND x.k = 1", 200000)));
+  ExpectTooDeep(ParseCorePattern(
+      FlatChain("( (x) WHERE x.k = 1", " OR x.k = 1", 200000)));
+  EXPECT_TRUE(ParseCorePattern(
+                  FlatChain("( (x) WHERE x.k = 1", " AND x.k = 1", 100) + ")")
+                  .ok());
+}
+
 TEST(CorePatternEvalTest, NodeEdgeAndLabels) {
   PropertyGraph g = Figure3Graph();
   Result<std::vector<CorePairRow>> nodes =

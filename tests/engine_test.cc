@@ -140,8 +140,8 @@ TEST(QueryEngineTest, PlanCacheKeyHasNoDelimiterCollision) {
   // "\x01opt" to the text. The key is the verbatim text, so a text with
   // that suffix must not share an entry with the text without it.
   const std::string base = "MATCH (x)-[:Transfer]->(y) RETURN x, y";
-  PlanCacheKey plain{QueryLanguage::kCoreGql, base, 0};
-  PlanCacheKey collider{QueryLanguage::kCoreGql, base + "\x01opt", 0};
+  PlanCacheKey plain{QueryLanguage::kCoreGql, base, 0, 0, 0};
+  PlanCacheKey collider{QueryLanguage::kCoreGql, base + "\x01opt", 0, 0, 0};
   EXPECT_FALSE(plain == collider);
 
   // End to end: the colliding text is a parse error, so a shared cache
@@ -495,6 +495,32 @@ TEST(QueryEngineTest, RegexDepthLimitIsAParseError) {
     ASSERT_FALSE(deep.ok()) << QueryLanguageName(language);
     EXPECT_EQ(deep.error().code(), ErrorCode::kParse)
         << deep.error().message();
+  }
+}
+
+TEST(QueryEngineTest, OversizedQueriesAreParseErrors) {
+  // Flat chains whose trees outgrow kMaxRegexDepth, and a short regex that
+  // desugars to more Glushkov positions than kMaxRegexPositions.
+  QueryEngine engine(Figure3Graph());
+  auto chain = [](std::string out, const std::string& unit, size_t steps) {
+    for (size_t i = 0; i < steps; ++i) out += unit;
+    return out;
+  };
+  const std::vector<QueryRequest> requests = {
+      Req(QueryLanguage::kGqlGroup, chain("(x)", "->(x)", 20000)),
+      Req(QueryLanguage::kGqlGroup, chain("(x)", "?", 50000)),
+      Req(QueryLanguage::kGqlGroup,
+          chain("( (x) WHERE x.k = 1", " AND x.k = 1", 200000)),
+      Req(QueryLanguage::kCoreGql,
+          "MATCH " + chain("(x)", "->(x)", 20000) + " RETURN x"),
+      Req(QueryLanguage::kRpq, "(((a{60}){60}){60}){60}"),
+      Req(QueryLanguage::kDlCrpq,
+          "q(x, y) := ((((()[a]){60}){60}){60}){60} (x, y)"),
+  };
+  for (const QueryRequest& request : requests) {
+    Result<QueryResponse> r = engine.Execute(request);
+    ASSERT_FALSE(r.ok()) << request.text.substr(0, 40);
+    EXPECT_EQ(r.error().code(), ErrorCode::kParse) << r.error().message();
   }
 }
 

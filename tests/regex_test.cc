@@ -1,5 +1,7 @@
 #include <gtest/gtest.h>
 
+#include <utility>
+
 #include "src/automata/glushkov.h"
 #include "src/regex/lexer.h"
 #include "src/regex/parser.h"
@@ -132,6 +134,32 @@ TEST(RegexDepthTest, AtTheLimitEveryRecursivePassRuns) {
     EXPECT_EQ(a.position_atoms.size(), r.value()->NumPositions());
     EXPECT_EQ(r.value()->Nullable(), a.initial_accepting);
     EXPECT_FALSE(r.value()->ToString().empty());
+  }
+}
+
+TEST(RegexSizeTest, PositionBoundHoldsAfterDesugaring) {
+  // At the bound: 32 copies of a 32-atom chain.
+  Result<RegexPtr> at_limit = ParseRegex("(a{32}){32}", RegexDialect::kPlain);
+  ASSERT_TRUE(at_limit.ok()) << at_limit.error().message();
+  EXPECT_EQ(at_limit.value()->NumPositions(), kMaxRegexPositions);
+  EXPECT_EQ(BuildGlushkov(*at_limit.value()).position_atoms.size(),
+            kMaxRegexPositions);
+
+  // Nested repeats multiply positions while adding little depth: the
+  // 4-level text is 25 bytes and would desugar to 60^4 positions. The
+  // parser refuses it without building an automaton, in either dialect.
+  const std::pair<const char*, RegexDialect> too_large[] = {
+      {"(a{32}){32} a", RegexDialect::kPlain},
+      {"((a{20}){20}){20}", RegexDialect::kPlain},
+      {"(((a{60}){60}){60}){60}", RegexDialect::kPlain},
+      {"((((()[a]){60}){60}){60}){60}", RegexDialect::kDl},
+  };
+  for (const auto& [text, dialect] : too_large) {
+    Result<RegexPtr> r = ParseRegex(text, dialect);
+    ASSERT_FALSE(r.ok()) << text;
+    EXPECT_NE(r.error().message().find("expands to more than"),
+              std::string::npos)
+        << r.error().message();
   }
 }
 
