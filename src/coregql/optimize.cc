@@ -17,13 +17,15 @@ void SplitConjuncts(const CoreCondPtr& cond, std::vector<CoreCondPtr>* out) {
   out->push_back(cond);
 }
 
-CoreCondPtr FoldConjuncts(const std::vector<CoreCondPtr>& conjuncts) {
-  if (conjuncts.empty()) return nullptr;
-  CoreCondPtr result = conjuncts[0];
-  for (size_t i = 1; i < conjuncts.size(); ++i) {
-    result = CoreCondition::And(std::move(result), conjuncts[i]);
-  }
-  return result;
+// ANDs conjuncts[from, to) as a balanced tree, in order: the result is
+// only log2(to - from) levels deeper than its deepest conjunct.
+CoreCondPtr FoldConjuncts(const std::vector<CoreCondPtr>& conjuncts,
+                          size_t from, size_t to) {
+  if (from == to) return nullptr;
+  if (to - from == 1) return conjuncts[from];
+  const size_t mid = from + (to - from + 1) / 2;
+  return CoreCondition::And(FoldConjuncts(conjuncts, from, mid),
+                            FoldConjuncts(conjuncts, mid, to));
 }
 
 // Collects the labels carried by non-repeated atoms binding `var`.
@@ -99,6 +101,8 @@ CoreGqlQuery PushDownConditions(const CoreGqlQuery& query,
     std::vector<CoreCondPtr> conjuncts;
     SplitConjuncts(block.where, &conjuncts);
     std::vector<CoreCondPtr> kept;
+    // Per pattern entry, the selections pushed into it.
+    std::vector<std::vector<CoreCondPtr>> pushed(block.patterns.size());
     for (const CoreCondPtr& conjunct : conjuncts) {
       if (conjunct->kind() == CoreCondition::Kind::kLabelIs) {
         const std::string& var = conjunct->var1();
@@ -122,23 +126,26 @@ CoreGqlQuery PushDownConditions(const CoreGqlQuery& query,
         continue;
       }
       if (conjunct->kind() == CoreCondition::Kind::kCompareConst) {
-        const std::string& var = conjunct->var1();
-        bool pushed = false;
-        for (CoreMatchBlock::PatternEntry& entry : block.patterns) {
-          if (BindsFreeVariable(*entry.pattern, var)) {
-            entry.pattern = CorePattern::Where(entry.pattern, conjunct);
-            pushed = true;
-            break;
-          }
-        }
-        if (pushed) {
+        auto binder = std::find_if(
+            block.patterns.begin(), block.patterns.end(),
+            [&](const CoreMatchBlock::PatternEntry& entry) {
+              return BindsFreeVariable(*entry.pattern, conjunct->var1());
+            });
+        if (binder != block.patterns.end()) {
+          pushed[binder - block.patterns.begin()].push_back(conjunct);
           ++local.selections_pushed;
           continue;
         }
       }
       kept.push_back(conjunct);
     }
-    block.where = FoldConjuncts(kept);
+    for (size_t i = 0; i < pushed.size(); ++i) {
+      if (pushed[i].empty()) continue;
+      block.patterns[i].pattern =
+          CorePattern::Where(block.patterns[i].pattern,
+                             FoldConjuncts(pushed[i], 0, pushed[i].size()));
+    }
+    block.where = FoldConjuncts(kept, 0, kept.size());
   }
   if (stats != nullptr) *stats = local;
   return out;

@@ -21,10 +21,13 @@ namespace gqzoo {
 ///     and the conjunct is kept (the selection will empty it at runtime).
 ///
 ///  2. Constant-selection pushdown: a top-level conjunct `x.k op c` is
-///     copied into a pattern-level condition wrapped around one pattern
-///     that binds `x`, so the filter applies during matching rather than
-///     after the join. The WHERE conjunct is dropped (the pattern-level
-///     copy is equivalent).
+///     moved into a pattern-level condition around the first pattern that
+///     binds `x`, so the filter applies during matching rather than after
+///     the join. Each pattern gets one condition, the conjunction of its
+///     selections.
+///
+/// Conjunctions are rebuilt as balanced AND trees, so a WHERE that passes
+/// the parser's depth bound stays shallow however many conjuncts it has.
 ///
 /// Returns the rewritten query; `stats` (optional) reports what fired.
 struct PushdownStats {

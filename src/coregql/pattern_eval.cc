@@ -69,44 +69,50 @@ void SortUnique(std::vector<CorePairRow>* rows) {
 
 // Endpoint pairs reachable by composing the pair relation `step` between
 // lo and hi times (hi may be kUnbounded). j = 0 contributes the identity
-// over all nodes ([[π]]^0 in Figure 4).
+// over all nodes ([[π]]^0 in Figure 4). Per source: the layers of nodes
+// reachable in exactly j steps, unioned over j in [lo, hi]. A walk of at
+// least lo + n steps repeats a node among its last n + 1, and cutting that
+// cycle leaves it at least lo steps long; so once hi ≥ lo + n - 1 the
+// union is everything reachable from layer lo, found by one BFS.
 std::vector<std::pair<NodeId, NodeId>> ComposeSteps(
-    const PropertyGraph& g, const std::set<std::pair<NodeId, NodeId>>& step,
-    size_t lo, size_t hi, const CancellationToken* cancel) {
+    const PropertyGraph& g, const std::vector<CorePairRow>& step, size_t lo,
+    size_t hi, const CancellationToken* cancel) {
   const size_t n = g.NumNodes();
   std::vector<std::vector<NodeId>> adj(n);
-  for (const auto& [u, v] : step) adj[u].push_back(v);
-
-  std::set<std::pair<NodeId, NodeId>> result;
+  for (const CorePairRow& r : step) adj[r.src].push_back(r.tgt);
+  const bool closure = hi == CorePattern::kUnbounded || hi + 1 >= lo + n;
+  // Appends `y` to `to` unless `mark[y]` says it is there already.
+  auto add = [](std::vector<NodeId>& to, std::vector<size_t>& mark,
+                size_t id, NodeId y) {
+    if (mark[y] == id) return;
+    mark[y] = id;
+    to.push_back(y);
+  };
+  std::vector<std::pair<NodeId, NodeId>> result;
+  std::vector<size_t> layer_mark(n, SIZE_MAX), reached_mark(n, SIZE_MAX);
+  size_t layer_id = 0;
   for (NodeId u = 0; u < n; ++u) {
-    if (ShouldStop(cancel)) break;
-    // BFS layers from u; layer[j] = nodes reachable in exactly j steps.
-    // Accumulate nodes whose step count can land in [lo, hi]. To decide
-    // "exactly j" membership without exponential bookkeeping we track, for
-    // every node, the set of step counts ≤ cutoff at which it is reachable;
-    // counts beyond n² can be folded because reachability with ≥ n² steps
-    // implies reachability with some count in [j, j + period] — instead we
-    // simply iterate layers up to min(hi, lo + n²) and additionally, for
-    // unbounded hi, saturate: once a node is seen at some count ≥ lo it is
-    // in the answer.
-    size_t cutoff = hi == CorePattern::kUnbounded
-                        ? lo + n * n + 1
-                        : std::min(hi, lo + n * n + 1);
-    std::set<NodeId> current = {u};
-    if (lo == 0) result.insert({u, u});
-    for (size_t j = 1; j <= cutoff && !current.empty(); ++j) {
-      std::set<NodeId> next;
-      for (NodeId x : current) {
-        for (NodeId y : adj[x]) next.insert(y);
-      }
+    std::vector<NodeId> layer = {u}, reached;
+    for (size_t j = 0; !layer.empty(); ++j) {
+      if (ShouldStop(cancel)) return result;
       if (j >= lo) {
-        for (NodeId y : next) result.insert({u, y});
+        for (NodeId y : layer) add(reached, reached_mark, u, y);
       }
-      if (next == current && j >= lo) break;  // fixpoint layer
-      current = std::move(next);
+      if (j == (closure ? lo : hi)) break;
+      std::vector<NodeId> next;
+      ++layer_id;
+      for (NodeId x : layer) {
+        for (NodeId y : adj[x]) add(next, layer_mark, layer_id, y);
+      }
+      layer = std::move(next);
     }
+    for (size_t i = 0; closure && i < reached.size(); ++i) {
+      for (NodeId y : adj[reached[i]]) add(reached, reached_mark, u, y);
+    }
+    std::sort(reached.begin(), reached.end());
+    for (NodeId y : reached) result.emplace_back(u, y);
   }
-  return std::vector<std::pair<NodeId, NodeId>>(result.begin(), result.end());
+  return result;
 }
 
 Result<std::vector<CorePairRow>> EvalPairsRec(const PropertyGraph& g,
@@ -168,10 +174,9 @@ Result<std::vector<CorePairRow>> EvalPairsRec(const PropertyGraph& g,
       Result<std::vector<CorePairRow>> inner =
           EvalPairsRec(g, snap, *p.child(), cancel);
       if (!inner.ok()) return inner;
-      std::set<std::pair<NodeId, NodeId>> step;
-      for (const CorePairRow& r : inner.value()) step.insert({r.src, r.tgt});
       std::vector<CorePairRow> rows;
-      for (const auto& [u, v] : ComposeSteps(g, step, p.lo(), p.hi(), cancel)) {
+      for (const auto& [u, v] :
+           ComposeSteps(g, inner.value(), p.lo(), p.hi(), cancel)) {
         rows.push_back({u, v, {}});  // µ∅: repetition erases bindings
       }
       return rows;

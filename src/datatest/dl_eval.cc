@@ -26,14 +26,14 @@ class ValuationInterner {
 };
 
 // Calls `fn(candidate)` for each out-edge of `v` that transition atom
-// `atom` can possibly match: an edge-targeting *label* atom iterates
-// exactly its label slice, while a test atom (whose properties any label
-// may carry) scans the node's adjacency list in edge-id order.
+// `atom` can possibly match: a *label* atom iterates its label runs, a test
+// atom (whose properties any label may carry) the node's whole out-slice in
+// edge-id order, which fixes the paths a truncated enumeration keeps.
 template <typename Fn>
-void ForEachOutEdge(const PropertyGraph& g, const GraphSnapshot& snap,
-                    const DlAtom& atom, NodeId v, Fn fn) {
+void ForEachOutEdge(const GraphSnapshot& snap, const DlAtom& atom, NodeId v,
+                    Fn fn) {
   if (atom.is_test) {
-    for (EdgeId e : g.OutEdges(v)) fn(ObjectRef::Edge(e));
+    for (EdgeId e : snap.OutEdgesById(v)) fn(ObjectRef::Edge(e));
     return;
   }
   snap.ForEachMatch(v, atom.pred, /*inverse=*/false,
@@ -88,7 +88,7 @@ class DlStep {
       if (t.atom.target == Atom::Target::kNode) {
         Try(t, ObjectRef::Node(u), nu0_, /*collapse=*/false, f);
       } else {
-        ForEachOutEdge(g_, snap_, t.atom, u, [&](ObjectRef o) {
+        ForEachOutEdge(snap_, t.atom, u, [&](ObjectRef o) {
           Try(t, o, nu0_, /*collapse=*/false, f);
         });
       }
@@ -101,7 +101,7 @@ class DlStep {
       Try(t, s.obj, s.nu, /*collapse=*/true, f);
       if (s.obj.is_node()) {
         if (t.atom.target != Atom::Target::kEdge) continue;
-        ForEachOutEdge(g_, snap_, t.atom, s.obj.id, [&](ObjectRef o) {
+        ForEachOutEdge(snap_, t.atom, s.obj.id, [&](ObjectRef o) {
           Try(t, o, s.nu, /*collapse=*/false, f);
         });
       } else if (t.atom.target == Atom::Target::kNode) {

@@ -32,10 +32,10 @@ namespace gqzoo {
 /// append costs 1 and any other step 0, and path enumeration its DFS.
 class DlEvaluator {
  public:
-  /// `snapshot` (not owned, non-null, over the same graph) routes
-  /// configuration expansion through per-label adjacency slices: an
-  /// edge-targeting label atom enumerates only the out-edges its predicate
-  /// matches instead of the node's full adjacency list.
+  /// `snapshot` (not owned, non-null, over the same graph) is the
+  /// adjacency configurations expand through: an edge-targeting label atom
+  /// enumerates only the label slices its predicate matches, a test atom
+  /// the node's whole out-slice.
   DlEvaluator(const PropertyGraph& g, const DlNfa& nfa,
               const GraphSnapshot* snapshot)
       : g_(&g), nfa_(&nfa), snapshot_(snapshot) {}

@@ -13,13 +13,6 @@ MutationManager::MutationManager(
       base_snapshot_(std::move(base_snapshot)),
       base_stats_(std::move(base_stats)) {}
 
-std::shared_ptr<const GraphSnapshot> MutationManager::PinSnapshot(
-    std::shared_ptr<const PropertyGraph> graph) {
-  return std::shared_ptr<const GraphSnapshot>(
-      new GraphSnapshot(*graph),
-      [graph](const GraphSnapshot* s) { delete s; });
-}
-
 bool MutationManager::WantCompaction(const MutationPolicy& policy) const {
   if (overlay_ == nullptr || overlay_->seq() == 0) return false;
   if (policy.compact_min_ops > 0 && overlay_->seq() >= policy.compact_min_ops) {
@@ -44,7 +37,9 @@ MutationManager::ApplyOutcome MutationManager::Apply(
     const QueryContext* ctx) {
   ApplyOutcome out;
   std::lock_guard<std::mutex> lock(mu_);
-  if (overlay_ == nullptr) overlay_ = std::make_unique<DeltaOverlay>(base_);
+  if (overlay_ == nullptr) {
+    overlay_ = std::make_unique<DeltaOverlay>(base_, *base_snapshot_);
+  }
   const uint64_t before = overlay_->seq();
   out.applied = overlay_->Apply(batch, ctx);
   out.ops_applied = overlay_->seq() - before;
@@ -77,7 +72,7 @@ MutationManager::View MutationManager::CurrentView(bool* built_merged) {
     v.snapshot = base_snapshot_;
     v.stats = base_stats_;
   } else {
-    MergedGraph merged = GraphDeltaMerger::Merge(*base_snapshot_, *overlay_);
+    MergedGraph merged = GraphDeltaMerger::Merge(*overlay_);
     v.stats = std::make_shared<const SnapshotStats>(
         *base_stats_, *merged.snapshot, merged.touched_labels);
     v.graph = std::move(merged.graph);
@@ -100,6 +95,7 @@ bool MutationManager::Compact(CompactReport* report) {
   // Capture a consistent (base, log prefix) pair; writers may keep
   // appending while the replay runs.
   std::shared_ptr<const PropertyGraph> base;
+  std::shared_ptr<const GraphSnapshot> base_snapshot;
   std::vector<MutationOp> log;
   uint64_t resets_at_capture;
   {
@@ -109,6 +105,7 @@ bool MutationManager::Compact(CompactReport* report) {
       return false;
     }
     base = base_;
+    base_snapshot = base_snapshot_;
     log = overlay_->log();
     resets_at_capture = resets_;
   }
@@ -116,7 +113,7 @@ bool MutationManager::Compact(CompactReport* report) {
   // Heavy phase, off-lock: replay the captured prefix into a fresh plain
   // graph and index it. Readers keep using the current (base, overlay).
   auto next = std::make_shared<const PropertyGraph>(
-      GraphDeltaMerger::Replay(*base, log));
+      GraphDeltaMerger::Replay(*base, *base_snapshot, log));
   auto next_snapshot = PinSnapshot(next);
   auto next_stats = std::make_shared<const SnapshotStats>(*next_snapshot);
 
@@ -133,7 +130,7 @@ bool MutationManager::Compact(CompactReport* report) {
     // compacted graph *is* (mutations are name-keyed), so this cannot fail.
     std::unique_ptr<DeltaOverlay> residual;
     if (overlay_->seq() > log.size()) {
-      residual = std::make_unique<DeltaOverlay>(next);
+      residual = std::make_unique<DeltaOverlay>(next, *next_snapshot);
       MutationBatch rest;
       rest.ops.assign(overlay_->log().begin() +
                           static_cast<ptrdiff_t>(log.size()),
@@ -166,10 +163,10 @@ void MutationManager::ResetBase(
     std::shared_ptr<const GraphSnapshot> base_snapshot,
     std::shared_ptr<const SnapshotStats> base_stats) {
   std::lock_guard<std::mutex> lock(mu_);
+  overlay_.reset();
   base_ = std::move(base);
   base_snapshot_ = std::move(base_snapshot);
   base_stats_ = std::move(base_stats);
-  overlay_.reset();
   memo_ = View{};
   memo_valid_ = false;
   ++resets_;

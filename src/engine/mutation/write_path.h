@@ -131,18 +131,14 @@ class MutationManager {
   Info GetInfo() const;
 
  private:
-  /// Replicates the engine's snapshot pinning: the CSR borrows the graph's
-  /// arrays, so its deleter keeps the graph alive.
-  static std::shared_ptr<const GraphSnapshot> PinSnapshot(
-      std::shared_ptr<const PropertyGraph> graph);
-
   bool WantCompaction(const MutationPolicy& policy) const;  // mu_ held
 
   mutable std::mutex mu_;
   std::shared_ptr<const PropertyGraph> base_;
   std::shared_ptr<const GraphSnapshot> base_snapshot_;
   std::shared_ptr<const SnapshotStats> base_stats_;
-  std::unique_ptr<DeltaOverlay> overlay_;  // null when no pending delta
+  // Null when no pending delta; borrows *base_snapshot_.
+  std::unique_ptr<DeltaOverlay> overlay_;
   /// Memoized merged view for the current ticket; invalidated by writes.
   View memo_;
   bool memo_valid_ = false;

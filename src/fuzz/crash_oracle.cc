@@ -33,7 +33,8 @@ std::string RenderDiff(const std::string& a, const std::string& b) {
 std::string ReplayRender(const std::shared_ptr<const PropertyGraph>& base,
                          const std::vector<storage::WalRecord>& records,
                          std::string* error) {
-  DeltaOverlay overlay(base);
+  const GraphSnapshot base_snapshot(*base);
+  DeltaOverlay overlay(base, base_snapshot);
   for (const storage::WalRecord& record : records) {
     MutationBatch batch;
     batch.ops = record.ops;

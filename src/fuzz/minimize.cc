@@ -141,10 +141,14 @@ class Minimizer {
     const PropertyGraph& g = parsed.value();
     const std::set<std::string> referenced = IdentifierTokens(best_);
 
+    std::vector<char> has_edge(g.NumNodes(), 0);
+    for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+      has_edge[g.Src(e)] = has_edge[g.Tgt(e)] = 1;
+    }
     std::vector<bool> keep(g.NumNodes(), true);
     bool any = false;
     for (NodeId n = 0; n < g.NumNodes(); ++n) {
-      if (g.OutEdges(n).empty() && g.InEdges(n).empty() &&
+      if (!has_edge[n] &&
           referenced.count(std::string(g.NodeName(n))) == 0) {
         keep[n] = false;
         any = true;

@@ -374,7 +374,7 @@ void RunMutationOracle(const FuzzCase& c, const OracleOptions& options,
 
   auto base = std::make_shared<PropertyGraph>(std::move(parsed).value());
   GraphSnapshot base_snapshot(*base);
-  DeltaOverlay overlay(base);
+  DeltaOverlay overlay(base, base_snapshot);
   GraphSim sim(*base);
 
   // Lockstep: overlay and simulator must agree on every op's fate. A
@@ -405,7 +405,7 @@ void RunMutationOracle(const FuzzCase& c, const OracleOptions& options,
 
   // Delta-vs-rebuild: the merged overlay view and a from-scratch rebuild
   // must render byte-identical.
-  MergedGraph merged = GraphDeltaMerger::Merge(base_snapshot, overlay);
+  MergedGraph merged = GraphDeltaMerger::Merge(overlay);
   PropertyGraph rebuilt = sim.Build();
   const std::string merged_text = PropertyGraphToText(*merged.graph);
   const std::string rebuilt_text = PropertyGraphToText(rebuilt);
@@ -418,8 +418,8 @@ void RunMutationOracle(const FuzzCase& c, const OracleOptions& options,
 
   // Compaction invariance: folding the log into a fresh base changes
   // nothing a query can see.
-  const PropertyGraph compacted = GraphDeltaMerger::Replay(*base,
-                                                           overlay.log());
+  const PropertyGraph compacted =
+      GraphDeltaMerger::Replay(*base, base_snapshot, overlay.log());
   ++report->checks;
   if (PropertyGraphToText(compacted) != merged_text) {
     report->Add("mutation.compact-vs-merged",

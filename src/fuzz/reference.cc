@@ -201,12 +201,15 @@ class WordMatcher {
 };
 
 // Every (path, µ) of [[R]]_G with src(path) = u and at most `max_length`
-// edges, keyed by tgt(path). Walks are enumerated over OutEdges; a walk is
-// extended only while its word can still grow into a match. False when
-// the work budget ran out.
+// edges, keyed by tgt(path). Walks are enumerated over per-node lists read
+// off the edge table (the reference shares no adjacency code with the
+// evaluators); a walk is extended only while its word can still grow into
+// a match. False when the work budget ran out.
 bool MatchingWalksFrom(const EdgeLabeledGraph& g, const Regex& r, NodeId u,
                        size_t max_length, size_t* steps,
                        std::map<NodeId, std::vector<PathBinding>>* out) {
+  std::vector<std::vector<EdgeId>> out_edges(g.NumNodes());
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) out_edges[g.Src(e)].push_back(e);
   std::vector<EdgeId> word;
   std::vector<ObjectRef> objects = {ObjectRef::Node(u)};
   std::function<bool(NodeId)> walk = [&](NodeId at) {
@@ -216,7 +219,7 @@ bool MatchingWalksFrom(const EdgeLabeledGraph& g, const Regex& r, NodeId u,
       (*out)[at].push_back({Path::MakeUnchecked(objects), mu});
     }
     if (!matcher.extendable() || word.size() >= max_length) return true;
-    for (EdgeId e : g.OutEdges(at)) {
+    for (EdgeId e : out_edges[at]) {
       if (++*steps > kMaxSteps) return false;
       word.push_back(e);
       objects.push_back(ObjectRef::Edge(e));

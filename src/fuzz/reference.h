@@ -38,9 +38,10 @@ std::vector<PathBinding> ApplyMode(PathMode mode,
 
 /// `mode(σ_{u,v}([[R]]_G))` restricted to paths of at most `max_length`
 /// edges (Sections 3.1.4-3.1.5): every walk from `u` of that length is
-/// enumerated over `OutEdges`, its label word matched against the AST by
-/// backtracking (yielding one capture binding per way of matching), and the
-/// bindings ending at `v` are filtered by the mode's definition. Paths are
+/// enumerated over per-node lists built from the edge table, its label
+/// word matched against the AST by backtracking (yielding one capture
+/// binding per way of matching), and the bindings ending at `v` are
+/// filtered by the mode's definition. Paths are
 /// one-way, so inverse atoms match nothing here. Sorted, duplicate-free;
 /// nullopt when the work budget ran out.
 std::optional<std::vector<PathBinding>> ReferenceModePaths(

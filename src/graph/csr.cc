@@ -130,6 +130,14 @@ GraphSnapshot::Slice GraphSnapshot::LabelSlice(const CsrView& csr, NodeId v,
   return Slice(base + run->begin, base + run->end);
 }
 
+std::vector<EdgeId> GraphSnapshot::OutEdgesById(NodeId v) const {
+  std::vector<EdgeId> edges;
+  edges.reserve(Out(v).size());
+  for (const Hop& hop : Out(v)) edges.push_back(hop.edge);
+  std::sort(edges.begin(), edges.end());
+  return edges;
+}
+
 GraphSnapshot::Slice GraphSnapshot::EdgesWithLabel(LabelId l) const {
   if (l >= num_labels_) return Slice();
   const Hop* base = label_edges_.data();
@@ -144,6 +152,13 @@ ConstSpan<NodeId> GraphSnapshot::NodesWithLabel(LabelId l) const {
   return ConstSpan<NodeId>(
       nodes_by_label_.data() + nodes_by_label_begin_[l],
       nodes_by_label_begin_[l + 1] - nodes_by_label_begin_[l]);
+}
+
+std::shared_ptr<const GraphSnapshot> PinSnapshot(
+    std::shared_ptr<const PropertyGraph> graph) {
+  return std::shared_ptr<const GraphSnapshot>(
+      new GraphSnapshot(*graph),
+      [graph](const GraphSnapshot* s) { delete s; });
 }
 
 size_t GraphSnapshot::ApproxBytes() const {

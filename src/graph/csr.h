@@ -22,8 +22,8 @@ class SnapshotCodec;  // serializes/maps snapshots (storage/snapshot_format.h)
 /// Every practical engine surveyed in Angles et al. keeps adjacency
 /// partitioned by edge label, because the inner loop of product-automaton
 /// evaluation asks "successors of v via label a", not "successors of v".
-/// A plain `EdgeLabeledGraph` answers that in O(deg(v)) by filtering;
-/// this snapshot answers it in O(deg_a(v)) by slicing:
+/// The snapshot is the only adjacency (an `EdgeLabeledGraph` keeps just its
+/// edge table); it answers that in O(deg_a(v)) by slicing:
 ///
 ///  * `hops` — one entry per edge per direction, grouped by node, then by
 ///    label within the node, then by edge id (deterministic order);
@@ -88,6 +88,10 @@ class GraphSnapshot {
   /// All out/in hops of `v` (the wildcard slice).
   Slice Out(NodeId v) const { return NodeSlice(out_, v); }
   Slice In(NodeId v) const { return NodeSlice(in_, v); }
+
+  /// The edges of `v`'s out-hops in edge-id order (a slice lists them by
+  /// label first), for callers whose output or truncation that order fixes.
+  std::vector<EdgeId> OutEdgesById(NodeId v) const;
 
   /// Hops of `v` whose edge carries label `l` — O(log #labels-at-v) lookup,
   /// then a dense scan of exactly deg_l(v) entries.
@@ -192,6 +196,11 @@ class GraphSnapshot {
   /// Keeps a mapped file image alive for view-mode snapshots.
   std::shared_ptr<const void> pin_;
 };
+
+/// A snapshot of `graph` whose deleter keeps `graph` alive, as the snapshot
+/// borrows its edge table: any holder pins the whole epoch.
+std::shared_ptr<const GraphSnapshot> PinSnapshot(
+    std::shared_ptr<const PropertyGraph> graph);
 
 }  // namespace gqzoo
 

@@ -1,5 +1,6 @@
 #include "src/graph/delta/delta.h"
 
+#include <cassert>
 #include <cctype>
 #include <cstdlib>
 #include <sstream>
@@ -278,12 +279,17 @@ MutationBatch& MutationBatch::SetEdgeProperty(std::string edge,
   return *this;
 }
 
-DeltaOverlay::DeltaOverlay(std::shared_ptr<const PropertyGraph> base)
+DeltaOverlay::DeltaOverlay(std::shared_ptr<const PropertyGraph> base,
+                           const GraphSnapshot& base_snapshot)
     : base_nodes_(static_cast<uint32_t>(base->NumNodes())),
       base_edges_(static_cast<uint32_t>(base->NumEdges())),
       base_labels_(static_cast<uint32_t>(base->skeleton().NumLabels())),
       base_props_(static_cast<uint32_t>(base->NumProperties())),
-      base_(std::move(base)) {}
+      base_(std::move(base)),
+      base_snapshot_(&base_snapshot) {
+  assert(&base_snapshot.graph() == &base_->skeleton() &&
+         base_snapshot.has_node_labels() && "snapshot of another graph");
+}
 
 std::optional<uint32_t> DeltaOverlay::ResolveNode(
     const std::string& name) const {
@@ -403,11 +409,11 @@ Result<bool> DeltaOverlay::ApplyOne(const MutationOp& op) {
       }
       // Cascade: drop every alive incident edge first (base + added).
       if (*id < base_nodes_) {
-        for (EdgeId e : base_->OutEdges(*id)) {
-          if (EdgeAlive(e)) RemoveEdgeInternal(e);
+        for (const GraphSnapshot::Hop& hop : base_snapshot_->Out(*id)) {
+          if (EdgeAlive(hop.edge)) RemoveEdgeInternal(hop.edge);
         }
-        for (EdgeId e : base_->InEdges(*id)) {
-          if (EdgeAlive(e)) RemoveEdgeInternal(e);
+        for (const GraphSnapshot::Hop& hop : base_snapshot_->In(*id)) {
+          if (EdgeAlive(hop.edge)) RemoveEdgeInternal(hop.edge);
         }
       }
       auto drop_added = [&](std::unordered_map<uint32_t,

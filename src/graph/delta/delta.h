@@ -8,6 +8,7 @@
 #include <unordered_set>
 #include <vector>
 
+#include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/util/query_context.h"
 #include "src/util/result.h"
@@ -121,10 +122,13 @@ struct MutationBatch {
 ///
 /// Not thread-safe: the engine serializes writers (and the merger, which
 /// reads this state) behind its write lock. The base graph is pinned by
-/// shared_ptr and never modified.
+/// shared_ptr and never modified; `base_snapshot`, built from it and
+/// outliving the overlay, gives a removed node's incident base edges and
+/// is what the merger splices.
 class DeltaOverlay {
  public:
-  explicit DeltaOverlay(std::shared_ptr<const PropertyGraph> base);
+  DeltaOverlay(std::shared_ptr<const PropertyGraph> base,
+               const GraphSnapshot& base_snapshot);
 
   /// Applies `batch` op by op, stopping at the first invalid op (the error
   /// names the op and its index; prior ops stay applied). `ctx`, when set,
@@ -191,6 +195,7 @@ class DeltaOverlay {
   Result<bool> ApplyOne(const MutationOp& op);
 
   std::shared_ptr<const PropertyGraph> base_;
+  const GraphSnapshot* base_snapshot_;
   std::vector<MutationOp> log_;
 
   std::vector<AddedNode> added_nodes_;

@@ -57,16 +57,14 @@ GraphDeltaMerger::IdMap GraphDeltaMerger::BuildIdMap(
   return ids;
 }
 
-MergedGraph GraphDeltaMerger::Merge(const GraphSnapshot& base_snapshot,
-                                    const DeltaOverlay& overlay) {
+MergedGraph GraphDeltaMerger::Merge(const DeltaOverlay& overlay) {
   const std::shared_ptr<const PropertyGraph>& base_sp = overlay.base();
+  const GraphSnapshot& base_snapshot = *overlay.base_snapshot_;
   const PropertyGraph& base = *base_sp;
   const EdgeLabeledGraph& bs = base.skeleton();
   const uint32_t bn = overlay.base_nodes_;
   const uint32_t be = overlay.base_edges_;
   const uint32_t bl = overlay.base_labels_;
-  assert(base_snapshot.has_node_labels_ &&
-         "merge needs a snapshot built from the base PropertyGraph");
   assert(base_snapshot.NumNodes() == bn && base_snapshot.NumEdges() == be);
 
   IdMap ids = BuildIdMap(overlay);
@@ -86,12 +84,8 @@ MergedGraph GraphDeltaMerger::Merge(const GraphSnapshot& base_snapshot,
   auto merged = std::make_shared<PropertyGraph>();
   PropertyGraph& g = *merged;
 
-  // Numeric hot-path arrays, fully materialized in the merged id space.
-  // Edges are visited in new-id order, so the per-node out_/in_ lists come
-  // out exactly as a from-scratch AddEdge sequence would build them.
+  // The edge table, fully materialized in the merged id space.
   g.skeleton_.edges_.reserve(m_new);
-  g.skeleton_.out_.assign(n_new, {});
-  g.skeleton_.in_.assign(n_new, {});
   for (EdgeId e = 0; e < m_new; ++e) {
     uint32_t old = ids.edge_origin[e];
     uint32_t src_old, tgt_old;
@@ -106,11 +100,8 @@ MergedGraph GraphDeltaMerger::Merge(const GraphSnapshot& base_snapshot,
       tgt_old = ae.tgt;
       label = ae.label;
     }
-    NodeId s = node_new(src_old);
-    NodeId t = node_new(tgt_old);
-    g.skeleton_.edges_.push_back({s, t, label});
-    g.skeleton_.out_[s].push_back(e);
-    g.skeleton_.in_[t].push_back(e);
+    g.skeleton_.edges_.push_back(
+        {node_new(src_old), node_new(tgt_old), label});
   }
   g.node_labels_.resize(n_new);
   for (NodeId v = 0; v < static_cast<NodeId>(n_new); ++v) {
@@ -400,12 +391,13 @@ PropertyGraph GraphDeltaMerger::Materialize(const DeltaOverlay& overlay) {
 }
 
 PropertyGraph GraphDeltaMerger::Replay(const PropertyGraph& base,
+                                       const GraphSnapshot& base_snapshot,
                                        const std::vector<MutationOp>& log) {
   // Non-owning alias: the scratch overlay borrows `base` for the duration
   // of this call only.
   std::shared_ptr<const PropertyGraph> alias(std::shared_ptr<const void>(),
                                              &base);
-  DeltaOverlay scratch(std::move(alias));
+  DeltaOverlay scratch(std::move(alias), base_snapshot);
   MutationBatch batch;
   batch.ops = log;
   Result<size_t> applied = scratch.Apply(batch);

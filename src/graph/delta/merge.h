@@ -34,13 +34,11 @@ struct MergedGraph {
 /// across compaction.
 class GraphDeltaMerger {
  public:
-  /// Layers `overlay` over its base: materializes the numeric adjacency in
-  /// the merged id space, borrows strings from the base, and splices the
+  /// Layers `overlay` over its base: materializes the edge table in the
+  /// merged id space, borrows strings from the base, and splices the
   /// base CSR with the overlay's additions per node — no global re-sort, so
   /// the first read after a small mutation costs far less than a rebuild.
-  /// `base_snapshot` must describe `overlay.base()`.
-  static MergedGraph Merge(const GraphSnapshot& base_snapshot,
-                           const DeltaOverlay& overlay);
+  static MergedGraph Merge(const DeltaOverlay& overlay);
 
   /// Folds `overlay` into a plain, self-contained `PropertyGraph` — the
   /// compactor's output, id-compatible with `Merge`'s view.
@@ -48,8 +46,10 @@ class GraphDeltaMerger {
 
   /// Replays `log` against `base` from scratch (validated ops only; an
   /// invalid op asserts). Reference semantics for the differential oracle
-  /// and the off-lock phase of compaction. Does not retain `base`.
+  /// and the off-lock phase of compaction. Does not retain `base`;
+  /// `base_snapshot` must be built from it.
   static PropertyGraph Replay(const PropertyGraph& base,
+                              const GraphSnapshot& base_snapshot,
                               const std::vector<MutationOp>& log);
 
  private:

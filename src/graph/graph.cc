@@ -15,8 +15,6 @@ NodeId EdgeLabeledGraph::AddNode(const std::string& name) {
          "duplicate node name");
   node_names_.push_back(effective);
   node_by_name_.emplace(std::move(effective), id);
-  out_.emplace_back();
-  in_.emplace_back();
   return id;
 }
 
@@ -38,21 +36,7 @@ EdgeId EdgeLabeledGraph::AddEdge(NodeId src, NodeId tgt, LabelId label,
          "duplicate edge name");
   edge_names_.push_back(effective);
   edge_by_name_.emplace(std::move(effective), id);
-  out_[src].push_back(id);
-  in_[tgt].push_back(id);
   return id;
-}
-
-void EdgeLabeledGraph::EnsureMappedAdjacency() const {
-  const MappedSkeleton& m = *mapped_;
-  std::call_once(m.adj_once, [&m] {
-    m.out.assign(m.num_nodes, {});
-    m.in.assign(m.num_nodes, {});
-    for (EdgeId e = 0; e < m.edges.size(); ++e) {
-      m.out[m.edges[e].src].push_back(e);
-      m.in[m.edges[e].tgt].push_back(e);
-    }
-  });
 }
 
 std::optional<NodeId> EdgeLabeledGraph::FindNode(

@@ -5,7 +5,6 @@
 #include <cstdint>
 #include <functional>
 #include <memory>
-#include <mutex>
 #include <optional>
 #include <string>
 #include <string_view>
@@ -92,6 +91,11 @@ static_assert(sizeof(SnapshotPropEntry) == 16, "serialized raw");
 ///    (storage/snapshot_format.h): edges and name tables are read in place
 ///    from a memory-mapped file; label text is interned eagerly (small).
 /// Overlay and mapped graphs are immutable; the mutators assert.
+///
+/// The graph keeps no adjacency of its own: the edge table is the only
+/// record of incidence, and traversals read the CSR `GraphSnapshot`
+/// (src/graph/csr.h) built from it, whose per-node slices list hops by
+/// (label, edge id).
 class EdgeLabeledGraph {
  public:
   struct EdgeData {
@@ -114,9 +118,10 @@ class EdgeLabeledGraph {
   EdgeId AddEdge(NodeId src, NodeId tgt, LabelId label,
                  const std::string& name = "");
 
-  // out_ is materialized in overlay views too, unlike node_names_.
   size_t NumNodes() const {
-    return mapped_ != nullptr ? mapped_->num_nodes : out_.size();
+    if (mapped_ != nullptr) return mapped_->num_nodes;
+    if (overlay_ != nullptr) return overlay_->node_origin.size();
+    return node_names_.size();
   }
   size_t NumEdges() const {
     return mapped_ != nullptr ? mapped_->edges.size() : edges_.size();
@@ -125,25 +130,6 @@ class EdgeLabeledGraph {
   NodeId Src(EdgeId e) const { return EdgeAt(e).src; }
   NodeId Tgt(EdgeId e) const { return EdgeAt(e).tgt; }
   LabelId EdgeLabel(EdgeId e) const { return EdgeAt(e).label; }
-
-  /// Per-node edge-id adjacency. Evaluators prefer `GraphSnapshot` slices;
-  /// these lists back the snapshot-less fallback paths. Mapped graphs
-  /// build them lazily on first use (the mapped file stores the snapshot's
-  /// CSR instead).
-  const std::vector<EdgeId>& OutEdges(NodeId n) const {
-    if (mapped_ != nullptr) {
-      EnsureMappedAdjacency();
-      return mapped_->out[n];
-    }
-    return out_[n];
-  }
-  const std::vector<EdgeId>& InEdges(NodeId n) const {
-    if (mapped_ != nullptr) {
-      EnsureMappedAdjacency();
-      return mapped_->in[n];
-    }
-    return in_[n];
-  }
 
   /// Label interning. Labels are shared between this graph's edges and, when
   /// this graph is the skeleton of a `PropertyGraph`, its node labels too.
@@ -211,8 +197,6 @@ class EdgeLabeledGraph {
   };
 
   /// In-place views of a mapped snapshot file (storage/snapshot_format.h).
-  /// Immutable except the lazily built adjacency lists, which are guarded
-  /// by `adj_once` and therefore safe to share across graph copies.
   struct MappedSkeleton {
     std::shared_ptr<const void> pin;  // the mapped file image
     size_t num_nodes = 0;
@@ -223,9 +207,6 @@ class EdgeLabeledGraph {
     ConstSpan<uint64_t> edge_name_offsets;  // size num_edges + 1
     ConstSpan<char> edge_name_heap;
     ConstSpan<EdgeId> edges_by_name;  // edge ids sorted by display name
-    mutable std::once_flag adj_once;
-    mutable std::vector<std::vector<EdgeId>> out;
-    mutable std::vector<std::vector<EdgeId>> in;
   };
 
   const EdgeData& EdgeAt(EdgeId e) const {
@@ -236,11 +217,8 @@ class EdgeLabeledGraph {
     return std::string_view(heap.data() + offsets[i],
                             static_cast<size_t>(offsets[i + 1] - offsets[i]));
   }
-  void EnsureMappedAdjacency() const;
 
   std::vector<EdgeData> edges_;
-  std::vector<std::vector<EdgeId>> out_;
-  std::vector<std::vector<EdgeId>> in_;
   std::vector<std::string> node_names_;
   std::vector<std::string> edge_names_;
   std::unordered_map<std::string, NodeId> node_by_name_;
@@ -350,12 +328,6 @@ class PropertyGraph {
   size_t NumEdges() const { return skeleton_.NumEdges(); }
   NodeId Src(EdgeId e) const { return skeleton_.Src(e); }
   NodeId Tgt(EdgeId e) const { return skeleton_.Tgt(e); }
-  const std::vector<EdgeId>& OutEdges(NodeId n) const {
-    return skeleton_.OutEdges(n);
-  }
-  const std::vector<EdgeId>& InEdges(NodeId n) const {
-    return skeleton_.InEdges(n);
-  }
   std::optional<NodeId> FindNode(const std::string& name) const {
     return skeleton_.FindNode(name);
   }

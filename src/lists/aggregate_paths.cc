@@ -2,15 +2,18 @@
 
 #include <functional>
 
+#include "src/graph/csr.h"
 #include "src/lists/list_functions.h"
 
 namespace gqzoo {
 
 namespace {
 
-// All node-to-node paths u→v with exactly `len` edges.
+// All node-to-node paths u→v with exactly `len` edges, out-edges taken in
+// edge-id order.
 std::vector<Path> PathsOfLength(const PropertyGraph& g, NodeId u, NodeId v,
                                 size_t len) {
+  const GraphSnapshot snap(g.skeleton());
   std::vector<Path> out;
   std::vector<ObjectRef> current = {ObjectRef::Node(u)};
   std::function<void(NodeId, size_t)> dfs = [&](NodeId node, size_t depth) {
@@ -18,7 +21,7 @@ std::vector<Path> PathsOfLength(const PropertyGraph& g, NodeId u, NodeId v,
       if (node == v) out.push_back(Path::MakeUnchecked(current));
       return;
     }
-    for (EdgeId e : g.OutEdges(node)) {
+    for (EdgeId e : snap.OutEdgesById(node)) {
       current.push_back(ObjectRef::Edge(e));
       current.push_back(ObjectRef::Node(g.Tgt(e)));
       dfs(g.Tgt(e), depth + 1);

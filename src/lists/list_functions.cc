@@ -2,6 +2,8 @@
 
 #include <algorithm>
 
+#include "src/graph/csr.h"
+
 namespace gqzoo {
 
 Value Reduce(const Value& init, const std::function<Value(ObjectRef)>& iota,
@@ -69,6 +71,7 @@ std::vector<Path> PathsWithReducePredicate(
     const std::function<Value(ObjectRef, const Value&)>& f,
     const std::function<bool(const Value&)>& predicate,
     const ReduceQueryOptions& options, ReduceQueryStats* stats) {
+  const GraphSnapshot snap(g.skeleton());
   std::vector<Path> results;
   ReduceQueryStats local;
   std::vector<ObjectRef> current = {ObjectRef::Node(u)};
@@ -76,7 +79,8 @@ std::vector<Path> PathsWithReducePredicate(
   used[u] = true;
   bool stopped = false;
 
-  // DFS over all (bounded) walks; the reduce is recomputed per emitted
+  // DFS over all (bounded) walks, out-edges in edge-id order (which fixes
+  // the paths `max_results` keeps); the reduce is recomputed per emitted
   // path — deliberately naive, matching the warning in Section 5.2.
   std::function<void(NodeId, size_t)> dfs = [&](NodeId node, size_t len) {
     if (stopped) return;
@@ -99,7 +103,7 @@ std::vector<Path> PathsWithReducePredicate(
       local.truncated = true;
       return;
     }
-    for (EdgeId e : g.OutEdges(node)) {
+    for (EdgeId e : snap.OutEdgesById(node)) {
       NodeId next = g.Tgt(e);
       if (options.simple_only && used[next]) continue;
       current.push_back(ObjectRef::Edge(e));

@@ -3,6 +3,8 @@
 #include <functional>
 #include <map>
 
+#include "src/graph/csr.h"
+
 namespace gqzoo {
 
 namespace {
@@ -210,7 +212,7 @@ struct Env {
 class Checker {
  public:
   Checker(const PropertyGraph& g, const WalkLogicOptions& options)
-      : g_(g), options_(options) {}
+      : g_(g), snap_(g.skeleton()), options_(options) {}
 
   Result<bool> Eval(const WlFormula& f, Env* env) {
     switch (f.kind()) {
@@ -242,7 +244,8 @@ class Checker {
         bool verdict = !exists;
         bool done = false;
         std::vector<EdgeId> edges;
-        // DFS over all walks from `from` up to the bound; evaluate the body
+        // DFS over all walks from `from` up to the bound, in snapshot slice
+        // order (the verdict does not depend on it); evaluate the body
         // whenever the walk ends at `target` (including the empty walk).
         std::function<Result<bool>(NodeId)> dfs =
             [&](NodeId at) -> Result<bool> {
@@ -259,9 +262,9 @@ class Checker {
             }
           }
           if (edges.size() >= options_.max_walk_length) return true;
-          for (EdgeId e : g_.OutEdges(at)) {
-            edges.push_back(e);
-            Result<bool> sub = dfs(g_.Tgt(e));
+          for (const GraphSnapshot::Hop& hop : snap_.Out(at)) {
+            edges.push_back(hop.edge);
+            Result<bool> sub = dfs(hop.node);
             edges.pop_back();
             if (!sub.ok()) return sub;
             if (done) return true;
@@ -387,6 +390,7 @@ class Checker {
   }
 
   const PropertyGraph& g_;
+  const GraphSnapshot snap_;
   const WalkLogicOptions& options_;
 };
 

@@ -215,7 +215,8 @@ Result<DurableStore::Opened> DurableStore::Open(
   info.checkpoint_lsn = ckpt.covered_lsn;
 
   auto base = std::make_shared<const PropertyGraph>(std::move(ckpt.graph));
-  DeltaOverlay overlay(base);
+  const GraphSnapshot base_snapshot(*base);
+  DeltaOverlay overlay(base, base_snapshot);
   uint64_t last_lsn = ckpt.covered_lsn;
   for (const WalRecord& rec : wal.records) {
     if (rec.lsn <= ckpt.covered_lsn) continue;  // pre-rotation leftover

@@ -267,6 +267,33 @@ TEST(CorePatternEvalTest, RepetitionOverCyclesTerminates) {
   EXPECT_EQ(exact.value().size(), 3u);  // rotation by 5 ≡ 2
 }
 
+TEST(CorePatternEvalTest, RepetitionOnPeriodicCyclesMatchesPaths) {
+  // On a cycle no two consecutive reachability layers are equal, so the
+  // closure must not wait for a fixpoint layer. Endpoint pairs must equal
+  // those of the enumerated paths (complete up to length 12 here).
+  for (size_t n : {2, 5}) {
+    PropertyGraph g = ToPropertyGraph(Cycle(n));
+    for (const char* text : {"(x) ->+ (y)", "(x) ->{3,} (y)",
+                             "(x) ->{3,4} (y)", "(x) ->{2,6} (y)"}) {
+      Result<std::vector<CorePairRow>> pairs =
+          EvalPatternPairs(g, *Pat(text), GraphSnapshot(g));
+      ASSERT_TRUE(pairs.ok());
+      CorePathEvalOptions options;
+      options.max_path_length = 12;
+      Result<CorePathEvalResult> paths =
+          SnapshotEvalPatternPaths(g, *Pat(text), options);
+      ASSERT_TRUE(paths.ok());
+      std::set<std::pair<NodeId, NodeId>> expected;
+      for (const CorePathRow& r : paths.value().rows) {
+        expected.insert({r.path.Src(g.skeleton()), r.path.Tgt(g.skeleton())});
+      }
+      std::set<std::pair<NodeId, NodeId>> got;
+      for (const CorePairRow& r : pairs.value()) got.insert({r.src, r.tgt});
+      EXPECT_EQ(got, expected) << text << " on Cycle(" << n << ")";
+    }
+  }
+}
+
 TEST(CorePatternEvalTest, PiIncIncreasingNodeValues) {
   // π_inc from Section 5.1: increasing node property along the path.
   PropertyGraph inc = ValueChain({1, 2, 3, 4}, {0, 0, 0});

@@ -1,5 +1,5 @@
-// GraphSnapshot (label-indexed CSR) coverage: slice primitives against
-// brute-force adjacency filtering, differential tests pinning the
+// GraphSnapshot (label-indexed CSR) coverage: slice primitives against an
+// edge-table scan in every storage mode, differential tests pinning the
 // snapshot-backed evaluators to the definitional reference
 // (src/fuzz/reference.h), the 64-bit product-state id regressions, the
 // PMR builder's arc order, and parallel RPQ sharding.
@@ -24,6 +24,8 @@
 #include "src/fuzz/reference.h"
 #include "src/graph/builtin_graphs.h"
 #include "src/graph/csr.h"
+#include "src/graph/delta/delta.h"
+#include "src/graph/delta/merge.h"
 #include "src/graph/generators.h"
 #include "src/graph/graph_io.h"
 #include "src/pmr/build.h"
@@ -31,6 +33,7 @@
 #include "src/rpq/bag_semantics.h"
 #include "src/planner/cardinality.h"
 #include "src/rpq/rpq_eval.h"
+#include "src/storage/snapshot_format.h"
 #include "src/util/query_context.h"
 #include "src/util/thread_pool.h"
 #include "tests/test_util.h"
@@ -44,66 +47,123 @@ using testing_util::TrimmedProductStates;
 // ---------------------------------------------------------------------------
 // Slice primitives.
 
-TEST(GraphSnapshotTest, SlicesMatchAdjacencyFiltering) {
-  EdgeLabeledGraph g = RandomGraph(30, 120, 5, 7);
-  GraphSnapshot snap(g);
+// Checks every slice of `snap` against a scan of its graph's edge table:
+// wildcard and per-label slices hold exactly the incident edges with the
+// right far-side node, in (label, edge id) order, and the graph-wide label
+// lists are complete and sorted by edge id.
+void ExpectSlicesMatchEdgeTable(const GraphSnapshot& snap) {
+  const EdgeLabeledGraph& g = snap.graph();
   ASSERT_EQ(snap.NumNodes(), g.NumNodes());
   ASSERT_EQ(snap.NumEdges(), g.NumEdges());
   EXPECT_GT(snap.ApproxBytes(), 0u);
+  auto by_label_then_id = [&g](const GraphSnapshot::Hop& a,
+                               const GraphSnapshot::Hop& b) {
+    return std::pair(g.EdgeLabel(a.edge), a.edge) <
+           std::pair(g.EdgeLabel(b.edge), b.edge);
+  };
 
-  for (NodeId v = 0; v < g.NumNodes(); ++v) {
-    // Wildcard slices carry exactly the node's out/in edges.
-    std::multiset<EdgeId> out_expected(g.OutEdges(v).begin(),
-                                       g.OutEdges(v).end());
-    std::multiset<EdgeId> out_got;
-    for (const GraphSnapshot::Hop& hop : snap.Out(v)) {
-      EXPECT_EQ(hop.node, g.Tgt(hop.edge));
-      out_got.insert(hop.edge);
-    }
-    EXPECT_EQ(out_got, out_expected);
-
-    std::multiset<EdgeId> in_expected(g.InEdges(v).begin(),
-                                      g.InEdges(v).end());
-    std::multiset<EdgeId> in_got;
-    for (const GraphSnapshot::Hop& hop : snap.In(v)) {
-      EXPECT_EQ(hop.node, g.Src(hop.edge));
-      in_got.insert(hop.edge);
-    }
-    EXPECT_EQ(in_got, in_expected);
-
-    // Per-label slices partition the wildcard slice.
-    for (LabelId l = 0; l < g.NumLabels(); ++l) {
-      std::multiset<EdgeId> expected;
-      for (EdgeId e : g.OutEdges(v)) {
-        if (g.EdgeLabel(e) == l) expected.insert(e);
+  for (bool inverse : {false, true}) {
+    const std::vector<std::vector<EdgeId>> lists =
+        testing_util::EdgeTableLists(g, inverse);
+    for (NodeId v = 0; v < g.NumNodes(); ++v) {
+      GraphSnapshot::Slice slice = inverse ? snap.In(v) : snap.Out(v);
+      EXPECT_TRUE(std::is_sorted(slice.begin(), slice.end(), by_label_then_id));
+      std::vector<EdgeId> got;
+      for (const GraphSnapshot::Hop& hop : slice) {
+        EXPECT_EQ(hop.node, inverse ? g.Src(hop.edge) : g.Tgt(hop.edge));
+        got.push_back(hop.edge);
       }
-      std::multiset<EdgeId> got;
-      for (const GraphSnapshot::Hop& hop : snap.Out(v, l)) {
-        EXPECT_EQ(g.EdgeLabel(hop.edge), l);
-        got.insert(hop.edge);
+      std::sort(got.begin(), got.end());
+      EXPECT_EQ(got, lists[v]);
+      if (!inverse) EXPECT_EQ(snap.OutEdgesById(v), lists[v]);
+
+      // Per-label slices partition the wildcard slice.
+      for (LabelId l = 0; l < g.NumLabels(); ++l) {
+        std::vector<EdgeId> expected;
+        for (EdgeId e : lists[v]) {
+          if (g.EdgeLabel(e) == l) expected.push_back(e);
+        }
+        std::vector<EdgeId> labeled;
+        for (const GraphSnapshot::Hop& hop :
+             inverse ? snap.In(v, l) : snap.Out(v, l)) {
+          labeled.push_back(hop.edge);
+        }
+        EXPECT_EQ(labeled, expected);
       }
-      EXPECT_EQ(got, expected);
     }
   }
 
-  // Graph-wide label lists are sorted by edge id and complete.
   size_t total = 0;
   for (LabelId l = 0; l < g.NumLabels(); ++l) {
     GraphSnapshot::Slice slice = snap.EdgesWithLabel(l);
     total += slice.size();
-    EdgeId prev = 0;
-    bool first = true;
-    for (const GraphSnapshot::Hop& hop : slice) {
-      EXPECT_EQ(g.EdgeLabel(hop.edge), l);
-      EXPECT_EQ(hop.node, g.Tgt(hop.edge));
-      if (!first) {
-        EXPECT_LT(prev, hop.edge);
-      }
-      prev = hop.edge;
-      first = false;
+    for (size_t i = 0; i < slice.size(); ++i) {
+      EXPECT_EQ(g.EdgeLabel(slice[i].edge), l);
+      EXPECT_EQ(slice[i].node, g.Tgt(slice[i].edge));
+      if (i > 0) EXPECT_LT(slice[i - 1].edge, slice[i].edge);
     }
   }
   EXPECT_EQ(total, g.NumEdges());
+}
+
+// One content in all three storage modes: a plain graph, a merged overlay
+// view (half the edges added by the delta, plus a tombstoned node and its
+// edges), and a mapped snapshot file image.
+TEST(GraphSnapshotTest, SlicesMatchAdjacencyFiltering) {
+  const EdgeLabeledGraph shape = RandomGraph(30, 120, 5, 7);
+  auto copy_edges = [&shape](PropertyGraph* g, EdgeId from, EdgeId to) {
+    for (EdgeId e = from; e < to; ++e) {
+      g->AddEdge(shape.Src(e), shape.Tgt(e),
+                 shape.LabelName(shape.EdgeLabel(e)),
+                 std::string(shape.EdgeName(e)));
+    }
+  };
+  PropertyGraph plain;
+  for (NodeId v = 0; v < shape.NumNodes(); ++v) {
+    plain.AddNode(std::string(shape.NodeName(v)), "N");
+  }
+  copy_edges(&plain, 0, static_cast<EdgeId>(shape.NumEdges()));
+  SCOPED_TRACE("plain");
+  ExpectSlicesMatchEdgeTable(GraphSnapshot(plain));
+
+  auto base = std::make_shared<PropertyGraph>();
+  for (NodeId v = 0; v < shape.NumNodes(); ++v) {
+    base->AddNode(std::string(shape.NodeName(v)), "N");
+  }
+  copy_edges(base.get(), 0, 60);
+  NodeId doomed = base->AddNode("doomed", "N");
+  base->AddEdge(0, doomed, "l0", "d0");
+  base->AddEdge(doomed, 1, "l9", "d1");
+  base->AddEdge(doomed, doomed, "l0", "d2");
+  const GraphSnapshot base_snapshot(*base);
+  DeltaOverlay overlay(base, base_snapshot);
+  MutationBatch batch;
+  batch.RemoveNode("doomed");
+  for (EdgeId e = 60; e < shape.NumEdges(); ++e) {
+    batch.AddEdge(std::string(shape.EdgeName(e)),
+                  std::string(shape.NodeName(shape.Src(e))),
+                  std::string(shape.NodeName(shape.Tgt(e))),
+                  shape.LabelName(shape.EdgeLabel(e)));
+  }
+  ASSERT_TRUE(overlay.Apply(batch).ok());
+  EXPECT_EQ(overlay.removed_base_edges(), 3u);
+  MergedGraph merged = GraphDeltaMerger::Merge(overlay);
+  ASSERT_TRUE(merged.graph->is_overlay());
+  EXPECT_EQ(merged.graph->NumNodes(), plain.NumNodes());
+  EXPECT_EQ(merged.graph->NumEdges(), plain.NumEdges());
+  SCOPED_TRACE("merged overlay view");
+  ExpectSlicesMatchEdgeTable(*merged.snapshot);
+
+  Result<storage::SnapshotFile> file = storage::SnapshotFile::FromBytes(
+      storage::SnapshotCodec::EncodeSnapshot(plain, 0));
+  ASSERT_TRUE(file.ok());
+  Result<storage::MappedGraph> mapped =
+      storage::SnapshotCodec::Open(std::move(file).value());
+  ASSERT_TRUE(mapped.ok());
+  ASSERT_TRUE(mapped.value().graph->is_mapped());
+  EXPECT_EQ(mapped.value().graph->NumNodes(), plain.NumNodes());
+  SCOPED_TRACE("mapped snapshot");
+  ExpectSlicesMatchEdgeTable(*mapped.value().snapshot);
 }
 
 TEST(GraphSnapshotTest, ForEachMatchHonorsEveryPredicateKind) {
@@ -115,8 +175,10 @@ TEST(GraphSnapshotTest, ForEachMatchHonorsEveryPredicateKind) {
   for (const LabelPred& pred : preds) {
     for (NodeId v = 0; v < g.NumNodes(); ++v) {
       for (bool inverse : {false, true}) {
+        const std::vector<std::vector<EdgeId>> lists =
+            testing_util::EdgeTableLists(g, inverse);
         std::multiset<EdgeId> expected;
-        for (EdgeId e : inverse ? g.InEdges(v) : g.OutEdges(v)) {
+        for (EdgeId e : lists[v]) {
           if (pred.Matches(g.EdgeLabel(e))) expected.insert(e);
         }
         std::multiset<EdgeId> got;

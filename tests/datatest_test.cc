@@ -42,7 +42,10 @@ using TripleSet = std::set<OracleTriple>;
 
 class Oracle {
  public:
-  Oracle(const PropertyGraph& g, size_t max_len) : g_(g), max_len_(max_len) {}
+  Oracle(const PropertyGraph& g, size_t max_len)
+      : g_(g),
+        out_edges_(testing_util::EdgeTableLists(g.skeleton())),
+        max_len_(max_len) {}
 
   TripleSet Derive(const Regex& r, const TripleSet& in) {
     switch (r.op()) {
@@ -99,7 +102,7 @@ class Oracle {
         ObjectRef last = t.p.back();
         candidates.push_back(last);
         if (last.is_node()) {
-          for (EdgeId e : g_.OutEdges(last.id)) {
+          for (EdgeId e : out_edges_[last.id]) {
             candidates.push_back(ObjectRef::Edge(e));
           }
         } else {
@@ -158,6 +161,7 @@ class Oracle {
   }
 
   const PropertyGraph& g_;
+  const std::vector<std::vector<EdgeId>> out_edges_;
   size_t max_len_;
 };
 

@@ -159,7 +159,8 @@ TEST(MutationOpTest, IsMutationCommandCoversAllVerbs) {
 
 TEST(DeltaOverlayTest, ErrorCodesMatchValidationRules) {
   auto base = std::make_shared<PropertyGraph>(TwoLabelGraph());
-  DeltaOverlay overlay(base);
+  GraphSnapshot base_snapshot(*base);
+  DeltaOverlay overlay(base, base_snapshot);
   MutationBatch batch;
 
   auto apply_one = [&](MutationOp op) {
@@ -194,7 +195,8 @@ TEST(DeltaOverlayTest, ErrorCodesMatchValidationRules) {
 
 TEST(DeltaOverlayTest, BatchKeepsValidPrefixOnError) {
   auto base = std::make_shared<PropertyGraph>(TwoLabelGraph());
-  DeltaOverlay overlay(base);
+  GraphSnapshot base_snapshot(*base);
+  DeltaOverlay overlay(base, base_snapshot);
 
   MutationBatch batch;
   batch.AddNode("w1", "N")
@@ -219,7 +221,8 @@ TEST(DeltaOverlayTest, BatchKeepsValidPrefixOnError) {
 
 TEST(DeltaOverlayTest, RemoveNodeCascadesToIncidentEdges) {
   auto base = std::make_shared<PropertyGraph>(TwoLabelGraph());
-  DeltaOverlay overlay(base);
+  GraphSnapshot base_snapshot(*base);
+  DeltaOverlay overlay(base, base_snapshot);
   MutationBatch batch;
   batch.RemoveNode("y");  // y carries both ea (in x->y) and eb (out y->z)
   ASSERT_TRUE(overlay.Apply(batch).ok());
@@ -242,7 +245,7 @@ TEST(DeltaOverlayTest, RemoveNodeCascadesToIncidentEdges) {
 TEST(DeltaOverlayTest, MergeMaterializeReplayAgree) {
   auto base = std::make_shared<PropertyGraph>(Figure3Graph());
   GraphSnapshot base_snapshot(*base);
-  DeltaOverlay overlay(base);
+  DeltaOverlay overlay(base, base_snapshot);
 
   MutationBatch batch;
   batch.AddNode("w1", "Account")
@@ -259,9 +262,10 @@ TEST(DeltaOverlayTest, MergeMaterializeReplayAgree) {
   Result<size_t> applied = overlay.Apply(batch);
   ASSERT_TRUE(applied.ok()) << applied.error().message();
 
-  MergedGraph merged = GraphDeltaMerger::Merge(base_snapshot, overlay);
+  MergedGraph merged = GraphDeltaMerger::Merge(overlay);
   PropertyGraph materialized = GraphDeltaMerger::Materialize(overlay);
-  PropertyGraph replayed = GraphDeltaMerger::Replay(*base, overlay.log());
+  PropertyGraph replayed =
+      GraphDeltaMerger::Replay(*base, base_snapshot, overlay.log());
 
   std::string merged_text = Text(*merged.graph);
   EXPECT_EQ(merged_text, Text(materialized));
@@ -276,7 +280,8 @@ TEST(DeltaOverlayTest, MergeMaterializeReplayAgree) {
 /// on the final rendered graph.
 TEST(DeltaOverlayTest, GraphSimParityOnTrickySequences) {
   auto base = std::make_shared<PropertyGraph>(TwoLabelGraph());
-  DeltaOverlay overlay(base);
+  GraphSnapshot base_snapshot(*base);
+  DeltaOverlay overlay(base, base_snapshot);
   fuzz::GraphSim sim(*base);
 
   std::vector<MutationOp> ops = {

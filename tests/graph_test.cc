@@ -1,6 +1,7 @@
 #include <gtest/gtest.h>
 
 #include "src/graph/builtin_graphs.h"
+#include "src/graph/csr.h"
 #include "src/graph/graph.h"
 #include "src/graph/graph_io.h"
 #include "src/graph/path.h"
@@ -21,9 +22,10 @@ TEST(EdgeLabeledGraphTest, BasicConstruction) {
   EXPECT_EQ(g.FindNode("a"), std::optional<NodeId>(a));
   EXPECT_EQ(g.FindEdge("e0"), std::optional<EdgeId>(e));
   EXPECT_EQ(g.FindNode("zzz"), std::nullopt);
-  ASSERT_EQ(g.OutEdges(a).size(), 1u);
-  ASSERT_EQ(g.InEdges(b).size(), 1u);
-  EXPECT_TRUE(g.OutEdges(b).empty());
+  GraphSnapshot snap(g);
+  ASSERT_EQ(snap.Out(a).size(), 1u);
+  ASSERT_EQ(snap.In(b).size(), 1u);
+  EXPECT_TRUE(snap.Out(b).empty());
 }
 
 TEST(EdgeLabeledGraphTest, ParallelEdgesAreDistinct) {
@@ -35,7 +37,7 @@ TEST(EdgeLabeledGraphTest, ParallelEdgesAreDistinct) {
   EdgeId e1 = g.AddEdge(a, b, "Transfer");
   EdgeId e2 = g.AddEdge(a, b, "Transfer");
   EXPECT_NE(e1, e2);
-  EXPECT_EQ(g.OutEdges(a).size(), 2u);
+  EXPECT_EQ(GraphSnapshot(g).Out(a).size(), 2u);
 }
 
 TEST(PropertyGraphTest, PropertiesArePartial) {

@@ -83,14 +83,24 @@ std::vector<std::pair<NodeId, NodeId>> SnapshotEvalRpq(
   return EvalRpq(GraphSnapshot(g), Nfa::FromRegex(regex, g));
 }
 
+std::vector<std::vector<EdgeId>> EdgeTableLists(const EdgeLabeledGraph& g,
+                                                bool inverse) {
+  std::vector<std::vector<EdgeId>> lists(g.NumNodes());
+  for (EdgeId e = 0; e < g.NumEdges(); ++e) {
+    lists[inverse ? g.Tgt(e) : g.Src(e)].push_back(e);
+  }
+  return lists;
+}
+
 std::vector<Path> AllPathsFrom(const EdgeLabeledGraph& g, NodeId u,
                                size_t max_len) {
+  const std::vector<std::vector<EdgeId>> out_edges = EdgeTableLists(g);
   std::vector<Path> out;
   std::vector<ObjectRef> current = {ObjectRef::Node(u)};
   std::function<void(NodeId, size_t)> dfs = [&](NodeId node, size_t len) {
     out.push_back(Path::MakeUnchecked(current));
     if (len >= max_len) return;
-    for (EdgeId e : g.OutEdges(node)) {
+    for (EdgeId e : out_edges[node]) {
       current.push_back(ObjectRef::Edge(e));
       current.push_back(ObjectRef::Node(g.Tgt(e)));
       dfs(g.Tgt(e), len + 1);
@@ -147,6 +157,7 @@ std::vector<PathBinding> MatchingBindingsBruteForce(const EdgeLabeledGraph& g,
                                                     const Nfa& nfa, NodeId u,
                                                     NodeId v, size_t max_len) {
   // Simulate all runs over all paths, collecting captures per run.
+  const std::vector<std::vector<EdgeId>> out_edges = EdgeTableLists(g);
   std::vector<PathBinding> out;
   std::vector<ObjectRef> current = {ObjectRef::Node(u)};
   Binding mu;
@@ -157,7 +168,7 @@ std::vector<PathBinding> MatchingBindingsBruteForce(const EdgeLabeledGraph& g,
       out.push_back({Path::MakeUnchecked(current), mu});
     }
     if (len >= max_len) return;
-    for (EdgeId e : g.OutEdges(node)) {
+    for (EdgeId e : out_edges[node]) {
       LabelId l = g.EdgeLabel(e);
       for (const Nfa::Transition& t : nfa.Out(state)) {
         if (!t.pred.Matches(l)) continue;

@@ -23,6 +23,12 @@ RegexPtr Rx(const std::string& text);
 /// Parses a dl-dialect regex or aborts.
 RegexPtr DlRx(const std::string& text);
 
+/// Per-node out-edge (or, when `inverse`, in-edge) ids in edge-id order,
+/// read off the edge table: the brute-force enumerators share no adjacency
+/// code with the evaluators, which read the CSR snapshot.
+std::vector<std::vector<EdgeId>> EdgeTableLists(const EdgeLabeledGraph& g,
+                                                bool inverse = false);
+
 /// Brute force: all node-to-node paths in `g` from `u` with at most
 /// `max_len` edges (walks; edges may repeat).
 std::vector<Path> AllPathsFrom(const EdgeLabeledGraph& g, NodeId u,
