@@ -23,6 +23,9 @@
 //   --max-sessions <n> concurrent connection cap (default 256)
 
 #include <signal.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 
 #include <atomic>
 #include <chrono>
@@ -64,6 +67,17 @@ int Usage(const char* argv0) {
 }  // namespace
 
 int main(int argc, char** argv) {
+#if defined(__GLIBC__)
+  // glibc raises its mmap threshold to the largest mapped block freed so
+  // far (and its trim threshold to twice that). After the first large
+  // join or reply buffer is freed, later ones are carved from the worker
+  // threads' arenas and stay resident once the query ends, so the
+  // server's resident set would depend on which worker ran which query.
+  // Pinning the threshold at its initial 128 KiB turns that off: blocks
+  // above it are mapped per allocation and returned on free. (The server
+  // hands back the arenas' freed small blocks after heavy queries.)
+  mallopt(M_MMAP_THRESHOLD, 128 * 1024);
+#endif
   long long port = 0;
   std::string port_file;
   std::string graph_file;

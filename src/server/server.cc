@@ -2,6 +2,9 @@
 
 #include <arpa/inet.h>
 #include <errno.h>
+#if defined(__GLIBC__)
+#include <malloc.h>
+#endif
 #include <netinet/in.h>
 #include <string.h>
 #include <sys/socket.h>
@@ -16,6 +19,23 @@ namespace gqzoo {
 namespace server {
 
 namespace {
+
+/// A query whose accounted footprint reached this frees megabytes of
+/// small join and binding blocks into the worker's malloc arena.
+constexpr uint64_t kReleaseHeapAfterBytes = 1 << 20;
+
+/// Hands the free pages of every malloc arena back to the kernel. On its
+/// own glibc returns an arena's memory only from the top, so one block
+/// still in use above a heavy query's freed blocks keeps all of them
+/// resident, and how much stays depends on which worker ran which query.
+/// A call walks every arena even with nothing to release (tens of
+/// microseconds), so it runs only after queries past
+/// kReleaseHeapAfterBytes.
+void ReleaseFreeHeap() {
+#if defined(__GLIBC__)
+  malloc_trim(0);
+#endif
+}
 
 /// RowSink that forwards each chunk as a ROWS frame. A failed write
 /// (peer vanished mid-stream) returns false, which makes the engine
@@ -351,8 +371,10 @@ void GraphServer::HandleQuery(Session* session, const std::string& payload) {
   if (session->peer_gone) return;
 
   DoneStatus status;
+  bool release_heap = false;
   if (result.ok()) {
     const QueryResponse& response = result.value();
+    release_heap = response.memory_peak_bytes >= kReleaseHeapAfterBytes;
     status.num_rows = response.num_rows;
     status.truncated = response.truncated;
     status.latency_us = static_cast<uint64_t>(response.latency.count());
@@ -374,6 +396,8 @@ void GraphServer::HandleQuery(Session* session, const std::string& payload) {
   if (!WriteFrame(session->fd, FrameType::kDone, EncodeDone(status)).ok()) {
     session->peer_gone = true;
   }
+  // After the DONE, so the release is not part of this query's latency.
+  if (release_heap) ReleaseFreeHeap();
 }
 
 void GraphServer::HandleMutate(Session* session, const std::string& payload) {
